@@ -7,7 +7,7 @@ optimization, and Monte Carlo risk comparisons.
 
 from .audio import AudioBuffer, WavFormatError, generate_white_noise, mix_at_snr, read_wav, write_wav
 from .metrics import GainReport, gain_report, global_snr_db, segmental_snr_db
-from .pipeline import DenoiseSummary, DenoiserConfig, denoise, denoise_file
+from .pipeline import DenoiseSummary, DenoiserConfig, denoise, denoise_file, denoise_kinds
 from .risklab import (
     SyntheticScene,
     TruncatedGaussianSpec,
@@ -35,6 +35,7 @@ __all__ = [
     "apply_shrinkage",
     "denoise",
     "denoise_file",
+    "denoise_kinds",
     "gain",
     "gain_array",
     "gain_report",

@@ -17,7 +17,7 @@ import numpy as np
 from . import risklab
 from .audio import WavFormatError, mix_at_snr, read_wav
 from .metrics import gain_report
-from .pipeline import DenoiserConfig, denoise, denoise_file
+from .pipeline import DenoiserConfig, denoise_file, denoise_kinds
 from .shrinkage import ShrinkageKind, gain
 
 _CONFIG_FIELD_TYPES = {
@@ -124,21 +124,17 @@ def _cmd_evaluate(args, parser) -> int:
     clean = read_wav(args.clean)
     noise = read_wav(args.noise)
 
+    kinds = [k for k in ShrinkageKind if k in kinds]  # row order, no repeats
+    config = DenoiserConfig(sample_rate=clean.sample_rate, alpha=args.alpha)
     rows = []
     for snr_db in sorted(snrs):
-        for kind in ShrinkageKind:
-            if kind not in kinds:
-                continue
-            config = DenoiserConfig(
-                sample_rate=clean.sample_rate, kind=kind, alpha=args.alpha
-            )
-            reports = []
-            for seed in seeds:
-                noisy, _ = mix_at_snr(clean, noise, snr_db, seed_offset=seed)
-                out = denoise(noisy.samples, config)
-                reports.append(
-                    gain_report(clean.samples, noisy.samples, out, config.frame_len)
-                )
+        noisy = [mix_at_snr(clean, noise, snr_db, seed_offset=seed)[0] for seed in seeds]
+        out = denoise_kinds(np.stack([buf.samples for buf in noisy]), config, kinds)
+        for k, kind in enumerate(kinds):
+            reports = [
+                gain_report(clean.samples, buf.samples, out[k, i], config.frame_len)
+                for i, buf in enumerate(noisy)
+            ]
             mean = lambda attr: float(np.mean([getattr(r, attr) for r in reports]))
             rows.append(
                 [

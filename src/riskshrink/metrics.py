@@ -53,21 +53,17 @@ def segmental_snr_db(
     if seg_len <= 0:
         raise ValueError(f"seg_len must be positive, got {seg_len}")
     n_segs = clean.shape[0] // seg_len
-    values = []
-    for i in range(n_segs):
-        s = clean[i * seg_len : (i + 1) * seg_len]
-        t = test[i * seg_len : (i + 1) * seg_len]
-        p_signal = float(np.sum(s**2))
-        if p_signal == 0.0:
-            continue
-        p_error = float(np.sum((s - t) ** 2))
-        if p_error == 0.0:
-            values.append(ceil_db)
-        else:
-            snr = 10.0 * np.log10(p_signal / p_error)
-            values.append(min(max(snr, floor_db), ceil_db))
-    if not values:
+    s = clean[: n_segs * seg_len].reshape(n_segs, seg_len)
+    t = test[: n_segs * seg_len].reshape(n_segs, seg_len)
+    p_signal = np.sum(s**2, axis=1)
+    p_error = np.sum((s - t) ** 2, axis=1)
+    voiced = p_signal != 0.0
+    if not np.any(voiced):
         raise ValueError("no segment has nonzero clean energy")
+    p_signal, p_error = p_signal[voiced], p_error[voiced]
+    with np.errstate(divide="ignore"):
+        snr = 10.0 * np.log10(p_signal / p_error)
+    values = np.where(p_error == 0.0, ceil_db, np.clip(snr, floor_db, ceil_db))
     return float(np.mean(values))
 
 

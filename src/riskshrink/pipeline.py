@@ -2,9 +2,13 @@
 
 The signal is analyzed on a short-time DCT grid; the leading frames build the
 initial noise statistics (they are assumed noise-only), after which every
-frame, including those leading ones, is denoised in order: VAD decision,
-noise-variance update, inverse-SNR update, per-bin gain, inverse transform,
-weighted overlap-add.
+frame, including those leading ones, is denoised in order: one tracker step
+(VAD decision with hangover, noise-variance update, inverse-SNR update), the
+per-bin gain, inverse transform and weighted overlap-add.
+
+Several streams run in lockstep: every input row with every requested gain,
+one tracker step per frame for all of them.  Analysis and synthesis go in
+blocks of frames, so no buffer of coefficients spans the whole signal.
 """
 
 from dataclasses import dataclass, replace
@@ -84,67 +88,94 @@ class DenoiseSummary:
     speech_fraction: float
 
 
-def _run(noisy: np.ndarray, config: DenoiserConfig, gain_fn=None):
-    """Denoise a signal; returns (output, per-frame effective speech flags)."""
+# Frames analyzed and synthesized per block: enough to amortize each
+# transform call, few enough that no buffer grows with the file length.
+_BLOCK_FRAMES = 16
+
+
+def _run(noisy: np.ndarray, config: DenoiserConfig, kinds):
+    """Denoise every row of ``noisy`` (shape ``(inputs, samples)``) with every
+    gain in ``kinds``, all streams in lockstep.
+
+    Returns ``(out, speech_frames, num_frames)``: the output, shape
+    ``(kinds, inputs, samples)``, and per stream the count of frames taken
+    as speech (hangover included) out of ``num_frames``.
+    """
     x = np.asarray(noisy, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a mono signal, got shape {x.shape}")
     if x.size and not np.all(np.isfinite(x)):
         raise ValueError("input contains NaN or Inf samples")
     frame_len, hop = config.frame_len, config.hop
-    min_len = config.init_noise_frames * hop + frame_len
-    if x.size < min_len:
+    init = config.init_noise_frames
+    min_len = init * hop + frame_len
+    if x.shape[-1] < min_len:
         raise ValueError(
-            f"signal too short: {x.size} samples, need at least {min_len} for "
-            f"{config.init_noise_frames} initialization frames"
+            f"signal too short: {x.shape[-1]} samples, need at least {min_len} for "
+            f"{init} initialization frames"
         )
 
-    grid = stdct.make_frame_grid(x.size, frame_len, hop)
+    grid = stdct.make_frame_grid(x.shape[-1], frame_len, hop)
     window = stdct.hamming_window(frame_len)
-    coeffs = stdct.dct_forward(stdct.frame_signal(x, grid) * window)
+    frames = stdct.frame_view(x, grid)
+    streams = (len(kinds), x.shape[0])
+    out = np.zeros(streams + (grid.padded_len,))
+    speech_frames = np.zeros(streams, dtype=np.int64)
+    state = None
+    start = 0
+    with np.errstate(divide="ignore"):  # 1/inv_xi where inv_xi == 0
+        while start < grid.num_frames:
+            # the first block holds every initialization frame
+            stop = min(max(start + _BLOCK_FRAMES, init), grid.num_frames)
+            coeffs = stdct.dct_forward(frames[:, start:stop] * window)
+            if state is None:
+                first = coeffs[:, :init]
+                state = tracking.initialize(
+                    np.broadcast_to(first, (len(kinds),) + first.shape), init
+                )
+            denoised = np.empty(streams + coeffs.shape[1:])
+            for j in range(stop - start):
+                frame = coeffs[:, j]
+                inv_xi, speech = tracking.step(
+                    state,
+                    frame,
+                    threshold=config.vad_threshold,
+                    hangover=config.vad_hangover,
+                    eta=config.eta,
+                    beta=config.beta,
+                )
+                speech_frames += speech
+                xi = np.where(inv_xi > 0.0, 1.0 / inv_xi, np.inf)
+                shrunk = denoised[:, :, j]
+                for k, kind in enumerate(kinds):
+                    g = gain_array(kind, xi[k], config.alpha)
+                    np.multiply(g, frame, out=shrunk[k])
+                state.prev_denoised = shrunk
+            stdct.overlap_add_block(out, stdct.dct_inverse(denoised), grid, window, start)
+            start = stop
+    stdct.overlap_normalize(out, grid, window)
+    return out[..., : x.shape[-1]], speech_frames, grid.num_frames
 
-    state = tracking.initialize(
-        coeffs[: config.init_noise_frames], config.init_noise_frames
-    )
-    if gain_fn is None:
-        def gain_fn(xi):
-            return gain_array(config.kind, xi, config.alpha)
 
-    denoised = np.empty_like(coeffs)
-    speech_flags = np.zeros(grid.num_frames, dtype=bool)
-    hang = 0
-    for i in range(grid.num_frames):
-        frame = coeffs[i]
-        decision = tracking.vad(frame, state, config.vad_threshold)
-        if decision.speech:
-            effective, hang = True, config.vad_hangover
-        elif hang > 0:
-            effective, hang = True, hang - 1
-        else:
-            effective = False
-        speech_flags[i] = effective
-        state = tracking.update_noise(
-            frame, replace(decision, speech=effective), state, config.eta
-        )
-        state = tracking.update_inv_xi(frame, state, config.beta)
-        with np.errstate(divide="ignore"):
-            xi = np.where(state.inv_xi > 0.0, 1.0 / state.inv_xi, np.inf)
-        shrunk = gain_fn(xi) * frame
-        denoised[i] = shrunk
-        state = tracking.commit_frame(state, frame, shrunk, decision.prior_snr)
+def denoise_kinds(noisy: np.ndarray, config: DenoiserConfig, kinds) -> np.ndarray:
+    """Denoise each row of ``noisy`` (shape ``(inputs, samples)``) with each
+    measure in ``kinds``; ``config.kind`` is ignored.
 
-    out = stdct.overlap_add(stdct.dct_inverse(denoised), grid, window)
-    return out[: x.size], speech_flags
-
-
-def denoise(noisy: np.ndarray, config: DenoiserConfig, _gain_fn=None) -> np.ndarray:
-    """Denoise a signal, preserving its length exactly.
-
-    ``_gain_fn`` is a test-only hook replacing the per-bin gain computation
-    (callable mapping an xi array to a gain array).
+    Returns shape ``(len(kinds), inputs, samples)``.  Row ``[k, i]`` is
+    bit-identical to ``denoise(noisy[i], replace(config, kind=kinds[k]))``.
     """
-    out, _ = _run(noisy, config, _gain_fn)
+    x = np.asarray(noisy, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected shape (inputs, samples), got {x.shape}")
+    out, _, _ = _run(x, config, list(kinds))
     return out
+
+
+def denoise(noisy: np.ndarray, config: DenoiserConfig) -> np.ndarray:
+    """Denoise a signal, preserving its length exactly."""
+    x = np.asarray(noisy, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError(f"expected a mono signal, got shape {x.shape}")
+    out, _, _ = _run(x[None], config, [config.kind])
+    return out[0, 0]
 
 
 def denoise_file(in_path, out_path, config: DenoiserConfig) -> DenoiseSummary:
@@ -156,9 +187,8 @@ def denoise_file(in_path, out_path, config: DenoiserConfig) -> DenoiseSummary:
     buf = read_wav(in_path)
     if buf.sample_rate != config.sample_rate:
         config = replace(config, sample_rate=buf.sample_rate)
-    out, flags = _run(buf.samples, config)
-    write_wav(out_path, AudioBuffer(out, buf.sample_rate))
+    out, speech_frames, num_frames = _run(buf.samples[None], config, [config.kind])
+    write_wav(out_path, AudioBuffer(out[0, 0], buf.sample_rate))
     return DenoiseSummary(
-        frames=int(flags.size),
-        speech_fraction=float(np.mean(flags)) if flags.size else 0.0,
+        frames=num_frames, speech_fraction=float(speech_frames[0, 0] / num_frames)
     )

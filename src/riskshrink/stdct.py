@@ -6,12 +6,18 @@ Parseval (sum of squares preserved) and i.i.d. time-domain noise of variance
 ``sigma**2`` keeps that variance per coefficient.  Synthesis applies the
 analysis window a second time and normalizes by the summed squared window,
 which reconstructs the interior of the signal exactly for any window/hop pair.
+
+Both directions also run block by block over a frame view
+(:func:`frame_view`, :func:`overlap_add_block`, :func:`overlap_normalize`),
+with the same bits as a whole-signal pass, so no buffer of frames or
+coefficients needs to span the signal.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Overlap-add positions where the summed squared window falls below this are
 # emitted as zero instead of dividing.
@@ -55,18 +61,24 @@ def hamming_window(frame_len: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / frame_len)
 
 
+def frame_view(signal: np.ndarray, grid: FrameGrid) -> np.ndarray:
+    """Read-only view of the grid's frames over a zero-padded copy of the
+    signal, shape ``(..., num_frames, frame_len)`` for a signal of shape
+    ``(..., samples)``; slicing it frame-wise builds no index array."""
+    signal = np.asarray(signal, dtype=np.float64)
+    padded = np.zeros(signal.shape[:-1] + (grid.padded_len,))
+    padded[..., : signal.shape[-1]] = signal
+    return sliding_window_view(padded, grid.frame_len, axis=-1)[..., :: grid.hop, :]
+
+
 def frame_signal(signal: np.ndarray, grid: FrameGrid) -> np.ndarray:
     """Slice a signal into the grid's frames, zero-padding the tail.
 
-    Returns an array of shape ``(num_frames, frame_len)``.
+    Returns a new array of shape ``(num_frames, frame_len)``.
     """
-    signal = np.asarray(signal, dtype=np.float64)
-    padded = np.zeros(grid.padded_len)
-    padded[: signal.shape[0]] = signal
     if grid.num_frames == 0:
         return np.zeros((0, grid.frame_len))
-    idx = grid.hop * np.arange(grid.num_frames)[:, None] + np.arange(grid.frame_len)
-    return padded[idx]
+    return frame_view(signal, grid).copy()
 
 
 def dct_forward(windowed_frame: np.ndarray) -> np.ndarray:
@@ -83,6 +95,33 @@ def dct_inverse(coeffs: np.ndarray) -> np.ndarray:
     if coeffs.shape[-1] == 0:
         raise ValueError("cannot transform an empty frame")
     return scipy.fft.idct(coeffs, type=2, norm="ortho", axis=-1)
+
+
+def overlap_add_block(
+    out: np.ndarray, frames: np.ndarray, grid: FrameGrid, window: np.ndarray, first: int
+) -> None:
+    """Accumulate windowed frames ``first, first+1, ...`` into ``out`` in place.
+
+    ``frames`` has shape ``(..., n, frame_len)`` and ``out`` shape
+    ``(..., padded_len)``.  Every sample sums its frames in grid order, so
+    accumulating a signal block by block gives the same bits as all at once.
+    """
+    for j in range(frames.shape[-2]):
+        start = (first + j) * grid.hop
+        out[..., start : start + grid.frame_len] += frames[..., j, :] * window
+
+
+def overlap_normalize(out: np.ndarray, grid: FrameGrid, window: np.ndarray) -> np.ndarray:
+    """Divide accumulated overlap-add output by the summed squared window, in
+    place; positions where that is below ``1e-12`` come out as zero."""
+    norm = np.zeros(grid.padded_len)
+    overlap_add_block(
+        norm, np.broadcast_to(window, (grid.num_frames, grid.frame_len)), grid, window, 0
+    )
+    covered = norm > _OLA_EPS
+    np.divide(out, norm, out=out, where=covered)
+    np.copyto(out, 0.0, where=~covered)
+    return out
 
 
 def overlap_add(frames: np.ndarray, grid: FrameGrid, window: np.ndarray) -> np.ndarray:
@@ -104,12 +143,5 @@ def overlap_add(frames: np.ndarray, grid: FrameGrid, window: np.ndarray) -> np.n
             f"window {window.shape}, frame_len {grid.frame_len}"
         )
     out = np.zeros(grid.padded_len)
-    norm = np.zeros(grid.padded_len)
-    for i in range(grid.num_frames):
-        start = i * grid.hop
-        out[start : start + grid.frame_len] += frames[i] * window
-        norm[start : start + grid.frame_len] += window * window
-    covered = norm > _OLA_EPS
-    out[covered] /= norm[covered]
-    out[~covered] = 0.0
-    return out
+    overlap_add_block(out, frames, grid, window, 0)
+    return overlap_normalize(out, grid, window)

@@ -1,12 +1,15 @@
 """Per-bin noise-variance tracking with a likelihood-ratio VAD gate and the
 recursive inverse a-posteriori SNR estimate.
 
-State is a value: every update returns a new ``NoiseTrackerState``.  A single
-stream's updates are strictly sequential since each frame's estimate depends
-on the previous one.
+One call of :func:`step` advances the tracker by one frame.  State arrays
+carry any number of leading axes, one row of ``bins`` per stream, and every
+stream keeps its own VAD decision, hangover and noise floor; a frame
+broadcasts against them, so streams that share their input (one noisy signal
+denoised with several gains) pass it once.  A single stream's frames are
+strictly sequential since each frame's estimate depends on the previous one.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,128 +20,107 @@ _DD_WEIGHT = 0.98
 _GAMMA_CAP = 1e6
 
 
-@dataclass(frozen=True)
-class VadDecision:
-    """Outcome of the per-frame likelihood-ratio test.
+@dataclass
+class TrackerState:
+    """Per-stream tracker state, updated in place by :func:`step`.
 
-    ``speech`` is True exactly when ``statistic`` exceeds the threshold.
-    ``prior_snr`` is the decision-directed prior used to form the statistic,
-    kept so the caller can persist it in the tracker state.
+    ``noise_var`` and ``prev_denoised`` have shape ``(..., bins)``; ``hang``
+    holds the hangover frames left per stream.  ``prev_noisy_sq`` is the
+    previous frame's squared coefficients (any shape broadcasting against
+    ``noise_var``).  The caller stores each frame's denoised coefficients in
+    ``prev_denoised`` before the next step.
     """
-
-    speech: bool
-    statistic: float
-    prior_snr: np.ndarray
-
-
-@dataclass(frozen=True)
-class NoiseTrackerState:
-    """Per-bin noise variance plus the previous frame's coefficients needed by
-    the SNR recursion."""
 
     noise_var: np.ndarray
     prev_denoised: np.ndarray
-    prev_noisy: np.ndarray
-    inv_xi: np.ndarray
-    frames_seen: int
-    prior_snr_vad: np.ndarray
+    prev_noisy_sq: np.ndarray
+    hang: np.ndarray
+    frames_seen: int = 0
 
 
-def initialize(first_frames: np.ndarray, init_count: int = 10) -> NoiseTrackerState:
+def initialize(first_frames: np.ndarray, init_count: int = 10) -> TrackerState:
     """Build initial state from leading frames assumed to contain only noise.
 
-    The per-bin variance is the average squared coefficient over the first
-    ``init_count`` frames; the inverse SNR starts from the first frame with
-    unit smoothing, i.e. ``noise_var / X**2``.
+    ``first_frames`` has shape ``(..., frames, bins)``; the per-bin variance
+    of each stream is the average squared coefficient over its first
+    ``init_count`` frames.
     """
     frames = np.atleast_2d(np.asarray(first_frames, dtype=np.float64))
     if init_count < 1:
         raise ValueError(f"init_count must be at least 1, got {init_count}")
-    if frames.shape[0] < init_count:
+    if frames.shape[-2] < init_count:
         raise ValueError(
-            f"need {init_count} initialization frames, got {frames.shape[0]}"
+            f"need {init_count} initialization frames, got {frames.shape[-2]}"
         )
-    noise_var = np.mean(frames[:init_count] ** 2, axis=0)
-    x0_sq = frames[0] ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_xi = np.where(x0_sq > 0.0, noise_var / x0_sq, np.inf)
-    n_bins = frames.shape[1]
-    return NoiseTrackerState(
+    noise_var = np.mean(frames[..., :init_count, :] ** 2, axis=-2)
+    return TrackerState(
         noise_var=noise_var,
-        prev_denoised=np.zeros(n_bins),
-        prev_noisy=frames[0].copy(),
-        inv_xi=inv_xi,
-        frames_seen=0,
-        prior_snr_vad=np.zeros(n_bins),
+        prev_denoised=np.zeros_like(noise_var),
+        prev_noisy_sq=np.zeros(noise_var.shape[-1]),
+        hang=np.zeros(noise_var.shape[:-1], dtype=np.int64),
     )
 
 
-def vad(frame: np.ndarray, state: NoiseTrackerState, threshold: float) -> VadDecision:
-    """Average per-bin log-likelihood ratio of speech presence.
+def vad(x_sq: np.ndarray, state: TrackerState) -> np.ndarray:
+    """Average per-bin log-likelihood ratio of speech presence, per stream.
 
-    Per bin the term is ``gamma * rho / (1 + rho) - log(1 + rho)`` with
-    ``gamma`` the a-posteriori SNR and ``rho`` a decision-directed prior SNR
-    blending the previous denoised frame with the current observation.
+    ``x_sq`` is the frame's squared coefficients.  Per bin the term is
+    ``gamma * rho / (1 + rho) - log(1 + rho)`` with ``gamma`` the
+    a-posteriori SNR and ``rho`` a decision-directed prior SNR blending the
+    previous denoised frame with the current observation.
     """
-    x_sq = np.asarray(frame, dtype=np.float64) ** 2
     nv = state.noise_var
+    live = nv > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = np.where(nv > 0.0, x_sq / nv, np.where(x_sq > 0.0, _GAMMA_CAP, 0.0))
+        gamma = np.where(live, x_sq / nv, np.where(x_sq > 0.0, _GAMMA_CAP, 0.0))
         gamma = np.minimum(gamma, _GAMMA_CAP)
-        dd = np.where(nv > 0.0, _DD_WEIGHT * state.prev_denoised**2 / nv, 0.0)
+        dd = np.where(live, _DD_WEIGHT * state.prev_denoised**2 / nv, 0.0)
     rho = np.minimum(dd + (1.0 - _DD_WEIGHT) * np.maximum(gamma - 1.0, 0.0), _GAMMA_CAP)
-    statistic = float(np.mean(gamma * rho / (1.0 + rho) - np.log1p(rho)))
-    return VadDecision(speech=statistic > threshold, statistic=statistic, prior_snr=rho)
+    return np.mean(gamma * rho / (1.0 + rho) - np.log1p(rho), axis=-1)
 
 
 def update_noise(
+    x_sq: np.ndarray, speech: np.ndarray, state: TrackerState, eta: float = 0.98
+) -> None:
+    """Exponential noise-variance update in place, frozen in speech streams."""
+    blended = eta * state.noise_var + (1.0 - eta) * x_sq
+    np.copyto(state.noise_var, blended, where=~speech[..., None])
+
+
+def step(
+    state: TrackerState,
     frame: np.ndarray,
-    decision: VadDecision,
-    state: NoiseTrackerState,
-    eta: float = 0.98,
-) -> NoiseTrackerState:
-    """Exponential noise-variance update, frozen during speech frames."""
-    if decision.speech:
-        return state
-    x_sq = np.asarray(frame, dtype=np.float64) ** 2
-    return replace(state, noise_var=eta * state.noise_var + (1.0 - eta) * x_sq)
+    *,
+    threshold: float,
+    hangover: int,
+    eta: float,
+    beta: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the tracker by one frame; return ``(inv_xi, speech)``.
 
-
-def update_inv_xi(
-    frame: np.ndarray, state: NoiseTrackerState, beta: float = 0.98
-) -> NoiseTrackerState:
-    """Recursive inverse a-posteriori SNR.
-
+    A stream counts as speech when its VAD statistic exceeds ``threshold``
+    or for ``hangover`` frames after one that did; its noise variance
+    updates only otherwise.  Then, with the updated variance,
     ``1/xi = beta * noise_var/X**2 + (1-beta) * max(1 - S_prev**2/X_prev**2, 0)``;
-    the very first processed frame uses unit ``beta``.  Bins with ``X = 0``
-    get an infinite inverse SNR, which downstream maps to zero gain.
+    the very first frame uses unit ``beta``.  Bins with ``X = 0`` get an
+    infinite inverse SNR, which downstream maps to zero gain.
     """
     x_sq = np.asarray(frame, dtype=np.float64) ** 2
+    raw = vad(x_sq, state) > threshold
+    speech = raw | (state.hang > 0)
+    state.hang = np.where(raw, hangover, np.maximum(state.hang - 1, 0))
+    update_noise(x_sq, speech, state, eta)
     nv = state.noise_var
     with np.errstate(divide="ignore", invalid="ignore"):
         if state.frames_seen == 0:
             inv = np.where(x_sq > 0.0, nv / x_sq, np.inf)
         else:
-            prev_sq = state.prev_noisy**2
+            prev_sq = state.prev_noisy_sq
             ratio = np.where(prev_sq > 0.0, state.prev_denoised**2 / prev_sq, 0.0)
             residual = np.maximum(1.0 - ratio, 0.0)
             inv = np.where(
                 x_sq > 0.0, beta * nv / x_sq + (1.0 - beta) * residual, np.inf
             )
-    return replace(state, inv_xi=inv)
-
-
-def commit_frame(
-    state: NoiseTrackerState,
-    noisy: np.ndarray,
-    denoised: np.ndarray,
-    prior_snr: np.ndarray,
-) -> NoiseTrackerState:
-    """Record a processed frame so the next frame's recursions can see it."""
-    return replace(
-        state,
-        prev_noisy=np.asarray(noisy, dtype=np.float64).copy(),
-        prev_denoised=np.asarray(denoised, dtype=np.float64).copy(),
-        prior_snr_vad=np.asarray(prior_snr, dtype=np.float64).copy(),
-        frames_seen=state.frames_seen + 1,
-    )
+    state.prev_noisy_sq = x_sq
+    state.frames_seen += 1
+    return inv, speech

@@ -88,3 +88,46 @@ def test_gain_report_perfect_denoiser():
     assert rep.output_ssnr_db == pytest.approx(35.0)
     assert rep.snr_gain_db == rep.output_snr_db - rep.input_snr_db
     assert rep.ssnr_gain_db == rep.output_ssnr_db - rep.input_ssnr_db
+
+
+def _segmental_snr_loop(clean, test, seg_len, floor_db=-10.0, ceil_db=35.0):
+    """Segment-by-segment reference for ``segmental_snr_db``."""
+    values = []
+    for i in range(clean.shape[0] // seg_len):
+        s = clean[i * seg_len : (i + 1) * seg_len]
+        t = test[i * seg_len : (i + 1) * seg_len]
+        p_signal = float(np.sum(s**2))
+        if p_signal == 0.0:
+            continue
+        p_error = float(np.sum((s - t) ** 2))
+        if p_error == 0.0:
+            values.append(ceil_db)
+        else:
+            snr = 10.0 * np.log10(p_signal / p_error)
+            values.append(min(max(snr, floor_db), ceil_db))
+    return float(np.mean(values))
+
+
+@pytest.mark.parametrize("seg_len", [160, 320, 640])
+def test_segmental_snr_matches_loop_reference_bitwise(seg_len):
+    rng = np.random.default_rng(seg_len)
+    for _ in range(60):
+        n = int(rng.integers(seg_len, 30 * seg_len))
+        clean = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 1)
+        clean[: int(rng.integers(0, n // 2 + 1))] = 0.0  # silent lead-in
+        clean[seg_len * (n // seg_len) - 1] = 0.5  # last whole segment voiced
+        test = clean + rng.standard_normal(n) * 10.0 ** rng.uniform(-7, 1)
+        exact = int(rng.integers(0, n // seg_len))
+        test[exact * seg_len : (exact + 1) * seg_len] = clean[
+            exact * seg_len : (exact + 1) * seg_len
+        ]
+        assert segmental_snr_db(clean, test, seg_len) == _segmental_snr_loop(
+            clean, test, seg_len
+        )
+
+
+def test_segmental_snr_needs_a_voiced_whole_segment():
+    clean = np.zeros(700)
+    clean[650] = 1.0  # energy only in the incomplete tail
+    with pytest.raises(ValueError, match="no segment has nonzero clean energy"):
+        segmental_snr_db(clean, np.ones(700), seg_len=320)

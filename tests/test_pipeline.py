@@ -3,7 +3,8 @@ import pytest
 
 from riskshrink.audio import generate_white_noise, mix_at_snr, read_wav, write_wav
 from riskshrink.metrics import global_snr_db
-from riskshrink.pipeline import DenoiserConfig, denoise, denoise_file
+from riskshrink import pipeline
+from riskshrink.pipeline import DenoiserConfig, denoise, denoise_file, denoise_kinds
 from riskshrink.shrinkage import ShrinkageKind
 
 
@@ -63,6 +64,13 @@ def test_non_finite_input_rejected():
 def test_non_mono_rejected():
     with pytest.raises(ValueError):
         denoise(np.zeros((2, 4000)), DenoiserConfig())
+    # a single row is still 2-D: only denoise_kinds takes a batch
+    with pytest.raises(ValueError, match="mono"):
+        denoise(np.zeros((1, 4000)), DenoiserConfig())
+    with pytest.raises(ValueError):
+        denoise_kinds(np.zeros(4000), DenoiserConfig(), [ShrinkageKind.MSE])
+    with pytest.raises(ValueError):
+        denoise_kinds(np.zeros((1, 1, 4000)), DenoiserConfig(), [ShrinkageKind.MSE])
 
 
 def test_determinism_bit_identical():
@@ -72,13 +80,53 @@ def test_determinism_bit_identical():
     np.testing.assert_array_equal(denoise(x, cfg), denoise(x, cfg))
 
 
-def test_unit_gain_hook_reduces_to_roundtrip():
+def test_unit_gain_hook_reduces_to_roundtrip(monkeypatch):
+    monkeypatch.setattr(pipeline, "gain_array", lambda kind, xi, alpha: np.ones_like(xi))
     rng = np.random.default_rng(33)
     x = 0.3 * rng.standard_normal(4000)
-    out = denoise(x, DenoiserConfig(), _gain_fn=lambda xi: np.ones_like(xi))
+    out = denoise(x, DenoiserConfig())
     interior = slice(320, x.shape[0] - 320)
     err = np.max(np.abs(out[interior] - x[interior]))
     assert err / np.max(np.abs(x[interior])) < 1e-6
+
+
+def _lockstep_inputs(n):
+    """Three noisy inputs of ``n`` samples with different noise draws, one of
+    them behind a digital-silence lead-in."""
+    rng = np.random.default_rng(40)
+    t = np.arange(n) / 8000.0
+    tone = 0.4 * np.sin(2 * np.pi * 440.0 * t) * (t > 0.15)
+    rows = [tone + 0.05 * rng.standard_normal(n) for _ in range(3)]
+    rows[1][:1200] = 0.0
+    return np.stack(rows)
+
+
+@pytest.mark.parametrize("n", [1120, 1121, 8003])  # minimum, one past it, off-hop
+def test_lockstep_rows_equal_single_stream_denoise(n):
+    kinds = list(ShrinkageKind)
+    noisy = _lockstep_inputs(n)
+    cfg = DenoiserConfig(alpha=1.3)
+    out = denoise_kinds(noisy, cfg, kinds)
+    assert out.shape == (len(kinds), 3, n)
+    for k, kind in enumerate(kinds):
+        for i in range(3):
+            np.testing.assert_array_equal(
+                out[k, i], denoise(noisy[i], DenoiserConfig(alpha=1.3, kind=kind))
+            )
+
+
+def test_lockstep_long_init_spans_blocks():
+    # more initialization frames than one analysis block holds
+    noisy = _lockstep_inputs(8000)
+    cfg = DenoiserConfig(init_noise_frames=40, overlap_fraction=0.5)
+    kinds = [ShrinkageKind.WCOSH, ShrinkageKind.MSE]
+    out = denoise_kinds(noisy, cfg, kinds)
+    for k, kind in enumerate(kinds):
+        for i in range(3):
+            np.testing.assert_array_equal(
+                out[k, i], denoise(noisy[i], DenoiserConfig(
+                    init_noise_frames=40, overlap_fraction=0.5, kind=kind))
+            )
 
 
 @pytest.mark.parametrize("kind", list(ShrinkageKind))

@@ -1,6 +1,8 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +111,18 @@ def test_fallback_selected_when_extension_unavailable():
     )
     assert proc.returncode == 0, proc.stderr
     assert "fallback-ok" in proc.stdout
+
+
+def test_bench_gains_runs_with_whichever_backend_is_built():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "bench_gains.py"),
+         "--size", "1000", "--repeats", "1"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "lockstep, 7 inputs: 7 x 320 bins" in proc.stdout
 
 
 @pytest.mark.skipif(BACKEND != "compiled", reason="compiled backend not built")

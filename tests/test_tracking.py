@@ -1,27 +1,29 @@
 import numpy as np
 import pytest
 
-from riskshrink.tracking import (
-    NoiseTrackerState,
-    commit_frame,
-    initialize,
-    update_inv_xi,
-    update_noise,
-    vad,
-)
+from riskshrink.tracking import TrackerState, initialize, step, vad
 
 
 def _state(noise_var, prev_denoised=None, prev_noisy=None, frames_seen=1):
-    noise_var = np.asarray(noise_var, dtype=np.float64)
-    n = noise_var.shape[0]
-    zeros = np.zeros(n)
-    return NoiseTrackerState(
+    noise_var = np.array(noise_var, dtype=np.float64)
+    zeros = np.zeros_like(noise_var)
+    return TrackerState(
         noise_var=noise_var,
         prev_denoised=zeros if prev_denoised is None else np.asarray(prev_denoised, float),
-        prev_noisy=zeros if prev_noisy is None else np.asarray(prev_noisy, float),
-        inv_xi=zeros.copy(),
+        prev_noisy_sq=zeros if prev_noisy is None else np.asarray(prev_noisy, float) ** 2,
+        hang=np.zeros(noise_var.shape[:-1], dtype=np.int64),
         frames_seen=frames_seen,
-        prior_snr_vad=zeros.copy(),
+    )
+
+
+def _step(state, frame, threshold=0.15, hangover=0, eta=0.98, beta=0.98):
+    return step(
+        state,
+        np.asarray(frame, dtype=np.float64),
+        threshold=threshold,
+        hangover=hangover,
+        eta=eta,
+        beta=beta,
     )
 
 
@@ -37,9 +39,6 @@ def test_initialize_constant_bin():
     np.testing.assert_array_equal(state.noise_var, [4.0, 0.0, 0.0, 0.0])
     np.testing.assert_array_equal(state.prev_denoised, np.zeros(4))
     assert state.frames_seen == 0
-    # unit-beta start: noise_var / X0^2 where defined, +inf on zero bins
-    assert state.inv_xi[0] == 1.0
-    assert np.all(np.isinf(state.inv_xi[1:]))
 
 
 def test_initialize_iid_noise():
@@ -53,6 +52,13 @@ def test_initialize_single_frame():
     frames = np.array([[1.0, -2.0, 0.5]])
     state = initialize(frames, 1)
     np.testing.assert_array_equal(state.noise_var, [1.0, 4.0, 0.25])
+
+
+def test_initialize_leading_axes_are_streams():
+    frames = np.stack([np.ones((3, 2)), np.full((3, 2), 2.0)])
+    state = initialize(frames, 3)
+    np.testing.assert_array_equal(state.noise_var, [[1.0, 1.0], [4.0, 4.0]])
+    assert state.hang.shape == (2,)
 
 
 def test_initialize_errors():
@@ -69,40 +75,62 @@ def test_initialize_errors():
 
 def test_vad_at_noise_floor_is_h0():
     state = _state(np.ones(64))
-    decision = vad(np.ones(64), state, threshold=0.15)
-    assert decision.statistic == pytest.approx(0.0, abs=1e-12)
-    assert not decision.speech
+    assert vad(np.ones(64), state) == pytest.approx(0.0, abs=1e-12)
+    _, speech = _step(state, np.ones(64))
+    assert not speech
 
 
 def test_vad_loud_frame_is_h1():
     state = _state(np.ones(64))
     frame = np.zeros(64)
     frame[:32] = 10.0  # X^2 = 100 * noise_var on half the bins
-    decision = vad(frame, state, threshold=0.15)
-    assert decision.statistic > 10.0
-    assert decision.speech
+    assert vad(frame**2, state) > 10.0
+    _, speech = _step(state, frame)
+    assert speech
 
 
 def test_vad_zero_frame_is_h0():
     state = _state(np.ones(8), prev_denoised=np.full(8, 2.0))
-    decision = vad(np.zeros(8), state, threshold=0.15)
-    assert decision.statistic <= 0.0
-    assert not decision.speech
+    assert vad(np.zeros(8), state) <= 0.0
+    _, speech = _step(state, np.zeros(8))
+    assert not speech
 
 
 def test_vad_zero_variance_bin_is_capped():
     state = _state([0.0, 1.0])
-    decision = vad(np.array([3.0, 1.0]), state, threshold=0.15)
-    assert np.isfinite(decision.statistic)
-    assert decision.speech  # capped gamma on the dead bin dominates
+    assert np.isfinite(vad(np.array([9.0, 1.0]), state))
+    _, speech = _step(state, np.array([3.0, 1.0]))
+    assert speech  # capped gamma on the dead bin dominates
 
 
 def test_vad_decision_invariant():
-    state = _state(np.ones(16))
     frame = np.full(16, 1.4)
+    statistic = vad(frame**2, _state(np.ones(16)))
     for thr in (-1.0, 0.0, 0.15, 5.0):
-        d = vad(frame, state, thr)
-        assert d.speech == (d.statistic > thr)
+        _, speech = _step(_state(np.ones(16)), frame, threshold=thr)
+        assert speech == (statistic > thr)
+
+
+def test_hangover_extends_speech_then_expires():
+    state = _state(np.ones(8))
+    loud, quiet = np.full(8, 10.0), np.full(8, 0.5)
+    flags, floors = [], []
+    for frame in (loud, quiet, quiet, quiet):
+        flags.append(bool(_step(state, frame, hangover=2)[1]))
+        floors.append(float(state.noise_var[0]))
+    assert flags == [True, True, True, False]
+    # the hangover frames still freeze the floor; the expired one updates it
+    assert floors == [1.0, 1.0, 1.0, pytest.approx(0.98 + 0.02 * 0.25, rel=1e-12)]
+
+
+def test_streams_decide_independently():
+    # row 0 hears speech, row 1 silence, from one shared frame and floor
+    state = _state([[1.0, 1.0], [100.0, 100.0]])
+    frame = np.array([5.0, 5.0])
+    _, speech = _step(state, frame)
+    np.testing.assert_array_equal(speech, [True, False])
+    np.testing.assert_array_equal(state.noise_var[0], [1.0, 1.0])
+    np.testing.assert_allclose(state.noise_var[1], [0.98 * 100.0 + 0.02 * 25.0] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -112,79 +140,78 @@ def test_vad_decision_invariant():
 
 def test_update_noise_frozen_during_speech():
     state = _state([1.0, 2.0])
-    decision = vad(np.array([50.0, 50.0]), state, 0.15)
-    assert decision.speech
-    new = update_noise(np.array([50.0, 50.0]), decision, state)
-    np.testing.assert_array_equal(new.noise_var, state.noise_var)
+    _, speech = _step(state, np.array([50.0, 50.0]))
+    assert speech
+    np.testing.assert_array_equal(state.noise_var, [1.0, 2.0])
 
 
 def test_update_noise_decays_on_silence():
     state = _state([1.0, 2.0])
-    decision = vad(np.zeros(2), state, 0.15)
-    new = update_noise(np.zeros(2), decision, state, eta=0.98)
-    np.testing.assert_allclose(new.noise_var, [0.98, 1.96], rtol=1e-12)
+    _, speech = _step(state, np.zeros(2), eta=0.98)
+    assert not speech
+    np.testing.assert_allclose(state.noise_var, [0.98, 1.96], rtol=1e-12)
 
 
 def test_update_noise_converges_to_constant_power():
     state = _state([5.0])
-    frame = np.array([2.0])  # X^2 = 4
-    decision = vad(np.zeros(1), state, 0.15)  # any H0 decision
+    frame = np.array([2.0])  # X^2 = 4, quieter than the floor: never speech
     for _ in range(600):
-        state = update_noise(frame, decision, state, eta=0.98)
+        _, speech = _step(state, frame, eta=0.98)
+        assert not speech
     assert state.noise_var[0] == pytest.approx(4.0, rel=1e-4)
 
 
 # ---------------------------------------------------------------------------
-# inverse a-posteriori SNR recursion
+# inverse a-posteriori SNR recursion (silent frames: the floor is updated
+# first, so each expected value uses the updated variance)
 # ---------------------------------------------------------------------------
 
 
 def test_inv_xi_pure_a_posteriori_at_unit_beta():
     state = _state([2.0, 2.0], prev_denoised=[1.0, 1.0], prev_noisy=[2.0, 2.0])
-    new = update_inv_xi(np.array([4.0, 2.0]), state, beta=1.0)
-    np.testing.assert_allclose(new.inv_xi, [2.0 / 16.0, 2.0 / 4.0], rtol=1e-12)
+    inv, _ = _step(state, np.array([4.0, 2.0]), threshold=1e9, eta=1.0, beta=1.0)
+    np.testing.assert_allclose(inv, [2.0 / 16.0, 2.0 / 4.0], rtol=1e-12)
 
 
 def test_inv_xi_second_term_vanishes_when_prev_fully_kept():
     state = _state([1.0], prev_denoised=[3.0], prev_noisy=[3.0])
-    new = update_inv_xi(np.array([2.0]), state, beta=0.98)
-    assert new.inv_xi[0] == pytest.approx(0.98 * 1.0 / 4.0, rel=1e-12)
+    inv, _ = _step(state, np.array([2.0]), threshold=1e9, eta=1.0, beta=0.98)
+    assert inv[0] == pytest.approx(0.98 * 1.0 / 4.0, rel=1e-12)
 
 
 def test_inv_xi_second_term_full_when_prev_zeroed():
     state = _state([1.0], prev_denoised=[0.0], prev_noisy=[3.0])
-    new = update_inv_xi(np.array([2.0]), state, beta=0.98)
-    assert new.inv_xi[0] == pytest.approx(0.98 * 0.25 + 0.02 * 1.0, rel=1e-12)
+    inv, _ = _step(state, np.array([2.0]), threshold=1e9, eta=1.0, beta=0.98)
+    assert inv[0] == pytest.approx(0.98 * 0.25 + 0.02 * 1.0, rel=1e-12)
 
 
 def test_inv_xi_clamps_overshoot():
     # adversarial previous frame with S^2 > X^2 must clamp to zero, not go
     # negative
     state = _state([1.0], prev_denoised=[5.0], prev_noisy=[2.0])
-    new = update_inv_xi(np.array([2.0]), state, beta=0.98)
-    assert new.inv_xi[0] == pytest.approx(0.98 * 0.25, rel=1e-12)
-    assert np.all(new.inv_xi >= 0.0)
+    inv, _ = _step(state, np.array([2.0]), threshold=1e9, eta=1.0, beta=0.98)
+    assert inv[0] == pytest.approx(0.98 * 0.25, rel=1e-12)
+    assert np.all(inv >= 0.0)
 
 
 def test_inv_xi_zero_bin_is_infinite():
     state = _state([1.0, 1.0], prev_noisy=[1.0, 1.0], prev_denoised=[0.5, 0.5])
-    new = update_inv_xi(np.array([0.0, 1.0]), state, beta=0.98)
-    assert np.isinf(new.inv_xi[0])
-    assert np.isfinite(new.inv_xi[1])
+    inv, _ = _step(state, np.array([0.0, 1.0]), beta=0.98)
+    assert np.isinf(inv[0])
+    assert np.isfinite(inv[1])
 
 
 def test_inv_xi_first_frame_forces_unit_beta():
     state = _state([4.0], frames_seen=0)
-    new = update_inv_xi(np.array([2.0]), state, beta=0.98)
-    assert new.inv_xi[0] == pytest.approx(1.0, rel=1e-12)  # 4 / 4, no blend
+    inv, _ = _step(state, np.array([2.0]), threshold=1e9, eta=1.0, beta=0.98)
+    assert inv[0] == pytest.approx(1.0, rel=1e-12)  # 4 / 4, no blend
 
 
-def test_commit_frame_records_history():
+def test_step_records_history():
     state = _state([1.0, 1.0])
-    new = commit_frame(state, np.array([1.0, 2.0]), np.array([0.5, 1.0]), np.zeros(2))
-    assert new.frames_seen == state.frames_seen + 1
-    np.testing.assert_array_equal(new.prev_noisy, [1.0, 2.0])
-    np.testing.assert_array_equal(new.prev_denoised, [0.5, 1.0])
+    _step(state, np.array([1.0, 2.0]))
+    assert state.frames_seen == 2
+    np.testing.assert_array_equal(state.prev_noisy_sq, [1.0, 4.0])
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +225,8 @@ def test_noise_var_tracks_stationary_noise():
     frames = rng.normal(0.0, np.sqrt(sigma2), size=(110, 256))
     state = initialize(frames[:10], 10)
     for i in range(110):
-        decision = vad(frames[i], state, threshold=0.15)
-        state = update_noise(frames[i], decision, state, eta=0.98)
-        state = update_inv_xi(frames[i], state, beta=0.98)
-        state = commit_frame(state, frames[i], np.zeros(256), decision.prior_snr)
-        assert np.all(state.inv_xi >= 0.0)
+        inv, _ = _step(state, frames[i], hangover=0)
+        state.prev_denoised = np.zeros(256)
+        assert np.all(inv >= 0.0)
     median = float(np.median(state.noise_var))
     assert abs(median - sigma2) / sigma2 < 0.2
