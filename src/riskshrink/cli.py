@@ -20,32 +20,38 @@ from .metrics import gain_report
 from .pipeline import DenoiserConfig, denoise_file, denoise_kinds
 from .shrinkage import ShrinkageKind, gain
 
-_CONFIG_FIELD_TYPES = {
-    "sample_rate": int,
-    "frame_ms": float,
-    "overlap_fraction": float,
-    "kind": lambda s: ShrinkageKind(s),
-    "alpha": float,
-    "beta": float,
-    "eta": float,
-    "init_noise_frames": int,
-    "vad_threshold": float,
-    "vad_hangover": int,
-}
+
+def _parse_kind(text: str) -> ShrinkageKind:
+    """Kind by name, in any letter case; the error lists the valid names."""
+    name = text.strip().lower()
+    try:
+        return ShrinkageKind(name)
+    except ValueError:
+        valid = ", ".join(k.value for k in ShrinkageKind)
+        raise ValueError(f"unknown kind {name!r} (choose from: {valid})") from None
 
 
 def _parse_kinds(text: str) -> list[ShrinkageKind]:
     if text.strip().lower() == "all":
         return list(ShrinkageKind)
-    out = []
-    for name in text.split(","):
-        name = name.strip().lower()
-        try:
-            out.append(ShrinkageKind(name))
-        except ValueError:
-            valid = ", ".join(k.value for k in ShrinkageKind)
-            raise ValueError(f"unknown kind {name!r} (choose from: {valid}, all)")
-    return out
+    return [_parse_kind(name) for name in text.split(",")]
+
+
+# The denoise flags and the config-file keys: one value parser per
+# DenoiserConfig field.  sample_rate is not among them, because denoise_file
+# always takes the rate from the WAV header.
+_FIELD_PARSERS = {
+    f.name: {int: int, float: float, ShrinkageKind: _parse_kind}[f.type]
+    for f in fields(DenoiserConfig)
+    if f.name != "sample_rate"
+}
+
+
+def _parse_field(name: str, raw: str, where: str):
+    try:
+        return _FIELD_PARSERS[name](raw.strip())
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _parse_config_file(path: str) -> dict:
@@ -54,40 +60,23 @@ def _parse_config_file(path: str) -> dict:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
+        where = f"{path}:{lineno}"
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ValueError(f"{where}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_FIELD_TYPES:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = _CONFIG_FIELD_TYPES[key](raw.strip())
+        if key not in _FIELD_PARSERS:
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        values[key] = _parse_field(key, raw, where)
     return values
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="plain-text key=value config file")
-    sub.add_argument("--sample-rate", type=int, default=None)
-    sub.add_argument("--frame-ms", type=float, default=None)
-    sub.add_argument("--overlap-fraction", type=float, default=None)
-    sub.add_argument("--kind", default=None, help="distortion measure, e.g. mse, wcosh")
-    sub.add_argument("--alpha", type=float, default=None)
-    sub.add_argument("--beta", type=float, default=None)
-    sub.add_argument("--eta", type=float, default=None)
-    sub.add_argument("--init-noise-frames", type=int, default=None)
-    sub.add_argument("--vad-threshold", type=float, default=None)
-    sub.add_argument("--vad-hangover", type=int, default=None)
-
-
 def _build_config(args: argparse.Namespace) -> DenoiserConfig:
-    merged = {}
-    if args.config:
-        merged.update(_parse_config_file(args.config))
-    for f in fields(DenoiserConfig):
-        flag_val = getattr(args, f.name, None)
-        if flag_val is not None:
-            if f.name == "kind":
-                flag_val = ShrinkageKind(flag_val.strip().lower())
-            merged[f.name] = flag_val
+    merged = _parse_config_file(args.config) if args.config else {}
+    for name in _FIELD_PARSERS:
+        raw = getattr(args, name)
+        if raw is not None:
+            merged[name] = _parse_field(name, raw, where=name)
     return DenoiserConfig(**merged)
 
 
@@ -235,7 +224,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_den = subs.add_parser("denoise", help="denoise a mono PCM-16 WAV file")
     p_den.add_argument("--in", dest="in_path", required=True, help="input WAV")
     p_den.add_argument("--out", dest="out_path", required=True, help="output WAV")
-    _add_config_flags(p_den)
+    p_den.add_argument("--config", help="plain-text key=value config file")
+    for name in _FIELD_PARSERS:
+        p_den.add_argument("--" + name.replace("_", "-"))
     p_den.set_defaults(func=_cmd_denoise)
 
     p_eval = subs.add_parser(

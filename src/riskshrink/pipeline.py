@@ -54,8 +54,9 @@ class DenoiserConfig:
         raw_hop = round(raw_len) * (1.0 - self.overlap_fraction)
         if abs(raw_hop - round(raw_hop)) > 1e-9 or round(raw_hop) < 1:
             raise ValueError(
-                f"overlap_fraction={self.overlap_fraction} does not give a whole "
-                f"number of hop samples"
+                f"sample_rate={self.sample_rate} with frame_ms={self.frame_ms} gives "
+                f"{round(raw_len)}-sample frames, and a hop of {raw_hop:g} samples "
+                f"(overlap_fraction={self.overlap_fraction}), which is not a whole number"
             )
         if not self.alpha > 0.0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")

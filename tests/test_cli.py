@@ -1,10 +1,12 @@
 import csv
 import math
+from dataclasses import fields
 
 import pytest
 
 from riskshrink.audio import generate_white_noise, write_wav
-from riskshrink.cli import main
+from riskshrink.cli import _build_config, _build_parser, main
+from riskshrink.pipeline import DenoiserConfig
 from riskshrink.risklab import CheckResult
 from riskshrink.shrinkage import ShrinkageKind
 
@@ -207,6 +209,74 @@ def test_denoise_bad_config_key_is_usage_error(fixture_wavs, tmp_path):
         main(["denoise", "--in", str(clean), "--out", str(tmp_path / "o.wav"),
               "--config", str(cfg)])
     assert exc.value.code == 2
+
+
+def test_kind_is_case_insensitive_in_flag_and_config_file(fixture_wavs, tmp_path, capsys):
+    clean, _ = fixture_wavs
+    cfg = tmp_path / "upper.cfg"
+    cfg.write_text("kind=COSH\n")
+    base = ["denoise", "--in", str(clean), "--out", str(tmp_path / "o.wav")]
+    assert main(base + ["--config", str(cfg)]) == 0
+    assert main(base + ["--kind", "WCosh"]) == 0
+    out = capsys.readouterr().out
+    assert '"kind": "cosh"' in out
+    assert '"kind": "wcosh"' in out
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unknown_kind_lists_valid_kinds(fixture_wavs, tmp_path, capsys, source):
+    clean, _ = fixture_wavs
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("# header\nkind=nope\n")
+    extra = ["--kind", "nope"] if source == "flag" else ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        main(["denoise", "--in", str(clean), "--out", str(tmp_path / "o.wav")] + extra)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown kind 'nope'" in err
+    assert ", ".join(k.value for k in ShrinkageKind) in err
+    if source == "config":
+        assert f"{cfg}:2:" in err
+
+
+def test_bad_config_value_names_file_and_line(fixture_wavs, tmp_path, capsys):
+    clean, _ = fixture_wavs
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("kind=mse\nalpha=abc\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["denoise", "--in", str(clean), "--out", str(tmp_path / "o.wav"),
+              "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"{cfg}:2: could not convert string to float: 'abc'" in capsys.readouterr().err
+
+
+def test_sample_rate_is_neither_flag_nor_config_key(fixture_wavs, tmp_path):
+    # the WAV header sets the rate
+    clean, _ = fixture_wavs
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text("sample_rate=16000\n")
+    base = ["denoise", "--in", str(clean), "--out", str(tmp_path / "o.wav")]
+    for extra in (["--sample-rate", "16000"], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2
+
+
+def test_every_field_but_sample_rate_is_a_flag_and_a_config_key(tmp_path):
+    values = {"frame_ms": "32", "overlap_fraction": "0.5", "kind": "is_ii", "alpha": "1.5",
+              "beta": "0.9", "eta": "0.95", "init_noise_frames": "8",
+              "vad_threshold": "0.2", "vad_hangover": "3"}
+    assert set(values) == {f.name for f in fields(DenoiserConfig)} - {"sample_rate"}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+    flags = [a for k, v in values.items() for a in ("--" + k.replace("_", "-"), v)]
+    base = ["denoise", "--in", "a.wav", "--out", "b.wav"]
+    for extra in (["--config", str(cfg)], flags):
+        config = _build_config(_build_parser().parse_args(base + extra))
+        assert config == DenoiserConfig(frame_ms=32.0, overlap_fraction=0.5,
+                                        kind=ShrinkageKind.IS_II, alpha=1.5, beta=0.9,
+                                        eta=0.95, init_noise_frames=8, vad_threshold=0.2,
+                                        vad_hangover=3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,16 @@ def test_config_defaults_give_standard_geometry():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         DenoiserConfig(**kwargs)
+
+
+@pytest.mark.parametrize("rate, frame, hop", [(11025, 441, "110.25"), (22050, 882, "220.5")])
+def test_fractional_hop_error_names_rate_and_frame(rate, frame, hop):
+    with pytest.raises(
+        ValueError,
+        match=rf"sample_rate={rate} with frame_ms=40\.0 gives {frame}-sample frames, "
+        rf"and a hop of {re.escape(hop)} samples",
+    ):
+        DenoiserConfig(sample_rate=rate)
 
 
 def test_zero_input_gives_zero_output():

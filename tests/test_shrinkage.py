@@ -1,21 +1,12 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
+import warnings
 
 import numpy as np
 import pytest
 
-from riskshrink import _gains_py
+import riskshrink
 from riskshrink.risklab import oracle_argmin
-from riskshrink.shrinkage import (
-    BACKEND,
-    ShrinkageKind,
-    apply_shrinkage,
-    gain,
-    gain_array,
-)
+from riskshrink.shrinkage import ShrinkageKind, apply_shrinkage, gain, gain_array
 
 ALL_KINDS = list(ShrinkageKind)
 
@@ -65,6 +56,8 @@ def test_parameter_validation():
         gain(ShrinkageKind.MSE, -1.0)
     with pytest.raises(ValueError):
         gain_array(ShrinkageKind.WE, np.array([1.0, -0.5]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        gain_array(ShrinkageKind.MSE, np.array([np.nan, -1.0]))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -89,58 +82,34 @@ def test_gain_array_matches_scalar():
         np.testing.assert_array_equal(vec, ref)
 
 
-def test_fallback_selected_when_extension_unavailable():
-    # block the compiled module in a child interpreter; the package must come
-    # up on the numpy backend with identical point values
-    script = (
-        "import sys\n"
-        "import importlib.abc\n"
-        "class Block(importlib.abc.MetaPathFinder):\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'riskshrink._gains':\n"
-        "            raise ImportError('blocked for test')\n"
-        "sys.meta_path.insert(0, Block())\n"
-        "import riskshrink\n"
-        "from riskshrink.shrinkage import ShrinkageKind, gain\n"
-        "assert riskshrink.BACKEND == 'python', riskshrink.BACKEND\n"
-        "assert abs(gain(ShrinkageKind.IS, 10.0) - 1.0 / 1.144) < 1e-12\n"
-        "print('fallback-ok')\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "fallback-ok" in proc.stdout
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.75])
+def test_gain_array_matches_scalar_at_edges(alpha):
+    # zero, subnormal (1/xi_eff overflows), tiny, unit, huge and infinite xi
+    xi = np.array([0.0, 1e-320, 1e-300, 0.5, 1.0, 10.0, 1e9, np.inf])
+    for kind in ALL_KINDS:
+        ref = np.array([gain(kind, v, alpha) for v in xi])
+        np.testing.assert_array_equal(gain_array(kind, xi, alpha), ref)
 
 
-def test_bench_gains_runs_with_whichever_backend_is_built():
-    root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, str(root / "benchmarks" / "bench_gains.py"),
-         "--size", "1000", "--repeats", "1"],
-        capture_output=True, text=True, timeout=120,
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "lockstep, 7 inputs: 7 x 320 bins" in proc.stdout
+def test_gain_array_nan_is_zero_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = gain_array(ShrinkageKind.MSE, np.full(4, np.nan))
+    np.testing.assert_array_equal(g, np.zeros(4))
 
 
-@pytest.mark.skipif(BACKEND != "compiled", reason="compiled backend not built")
-def test_compiled_matches_python_backend():
-    from riskshrink import _gains
+@pytest.mark.parametrize("kind", ["mse", 0, None])
+def test_unknown_kind_rejected(kind):
+    # including xi = 0, where every formula would return 0 before the kind is used
+    for xi in (0.0, 10.0):
+        with pytest.raises(ValueError, match="ShrinkageKind"):
+            gain(kind, xi)
+        with pytest.raises(ValueError, match="ShrinkageKind"):
+            gain_array(kind, np.array([xi]))
 
-    rng = np.random.default_rng(6)
-    xi = np.concatenate(
-        [[0.0, 1e-320, 1e-300, 0.5, 1.0, 10.0, 1e9, np.inf], 10.0 ** rng.uniform(-8, 10, 5000)]
-    )
-    for kid in range(7):
-        for alpha in (0.5, 1.0, 1.75):
-            a = np.empty_like(xi)
-            b = np.empty_like(xi)
-            _gains.gain_into(kid, xi, alpha, a)
-            _gains_py.gain_into(kid, xi, alpha, b)
-            # identical arithmetic; allow 1 ulp for libm vs SIMD exp/sqrt
-            np.testing.assert_allclose(a, b, rtol=5e-16, atol=5e-16)
+
+def test_backend_is_fixed():
+    assert riskshrink.BACKEND == "python"
 
 
 # ---------------------------------------------------------------------------
