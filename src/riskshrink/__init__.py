@@ -18,7 +18,7 @@ from .risklab import (
     true_risk_mc,
     unbiasedness_report,
 )
-from .shrinkage import BACKEND, ShrinkageKind, apply_shrinkage, gain, gain_array
+from .shrinkage import BACKEND, ShrinkageKind, gain, gain_array
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "SyntheticScene",
     "TruncatedGaussianSpec",
     "WavFormatError",
-    "apply_shrinkage",
     "denoise",
     "denoise_file",
     "denoise_kinds",

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import risklab
 from .audio import WavFormatError, mix_at_snr, read_wav
-from .metrics import gain_report
+from .metrics import GainReport, gain_report
 from .pipeline import DenoiserConfig, denoise_file, denoise_kinds
-from .shrinkage import ShrinkageKind, gain
+from .shrinkage import ShrinkageKind, gain_array
 
 
 def _parse_kind(text: str) -> ShrinkageKind:
@@ -115,6 +115,7 @@ def _cmd_evaluate(args, parser) -> int:
 
     kinds = [k for k in ShrinkageKind if k in kinds]  # row order, no repeats
     config = DenoiserConfig(sample_rate=clean.sample_rate, alpha=args.alpha)
+    metrics = [f.name for f in fields(GainReport)]
     rows = []
     for snr_db in sorted(snrs):
         noisy = [mix_at_snr(clean, noise, snr_db, seed_offset=seed)[0] for seed in seeds]
@@ -124,35 +125,13 @@ def _cmd_evaluate(args, parser) -> int:
                 gain_report(clean.samples, buf.samples, out[k, i], config.frame_len)
                 for i, buf in enumerate(noisy)
             ]
-            mean = lambda attr: float(np.mean([getattr(r, attr) for r in reports]))
+            means = [float(np.mean([getattr(r, m) for r in reports])) for m in metrics]
             rows.append(
-                [
-                    Path(args.clean).name,
-                    kind.value,
-                    f"{args.alpha:.6f}",
-                    f"{snr_db:.2f}",
-                    f"{mean('input_snr_db'):.6f}",
-                    f"{mean('output_snr_db'):.6f}",
-                    f"{mean('snr_gain_db'):.6f}",
-                    f"{mean('input_ssnr_db'):.6f}",
-                    f"{mean('output_ssnr_db'):.6f}",
-                    f"{mean('ssnr_gain_db'):.6f}",
-                    str(len(seeds)),
-                ]
+                [Path(args.clean).name, kind.value, f"{args.alpha:.6f}", f"{snr_db:.2f}"]
+                + [f"{v:.6f}" for v in means]
+                + [str(len(seeds))]
             )
-    header = [
-        "file",
-        "kind",
-        "alpha",
-        "snr_db",
-        "input_snr_db",
-        "output_snr_db",
-        "snr_gain_db",
-        "input_ssnr_db",
-        "output_ssnr_db",
-        "ssnr_gain_db",
-        "seeds",
-    ]
+    header = ["file", "kind", "alpha", "snr_db"] + metrics + ["seeds"]
     with open(args.out_csv, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -173,13 +152,10 @@ def _cmd_curves(args, parser) -> int:
 
     n = int(np.floor((hi - lo) / step + 0.5)) + 1
     header = ["xi_db"] + [k.value for k in ShrinkageKind]
-    rows = []
-    for i in range(n):
-        xi_db = lo + i * step
-        xi = 10.0 ** (xi_db / 10.0)
-        rows.append(
-            [f"{xi_db:.4f}"] + [f"{gain(k, xi, args.alpha):.9f}" for k in ShrinkageKind]
-        )
+    xi_db = [lo + i * step for i in range(n)]
+    xi = np.array([10.0 ** (v / 10.0) for v in xi_db])
+    columns = [gain_array(k, xi, args.alpha) for k in ShrinkageKind]
+    rows = [[f"{v:.4f}"] + [f"{g:.9f}" for g in gs] for v, *gs in zip(xi_db, *columns)]
     if args.out_csv:
         with open(args.out_csv, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -58,8 +58,8 @@ class DenoiserConfig:
                 f"{round(raw_len)}-sample frames, and a hop of {raw_hop:g} samples "
                 f"(overlap_fraction={self.overlap_fraction}), which is not a whole number"
             )
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         for name in ("beta", "eta"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:

@@ -18,18 +18,6 @@ import numpy as np
 
 from .shrinkage import ShrinkageKind, gain
 
-# Measures whose risk estimate diverges at the a = 0 endpoint (log or 1/a
-# singularity).
-_SINGULAR_AT_ZERO = frozenset(
-    {
-        ShrinkageKind.LOG_MSE,
-        ShrinkageKind.IS,
-        ShrinkageKind.IS_II,
-        ShrinkageKind.COSH,
-        ShrinkageKind.WCOSH,
-    }
-)
-
 # Measures optimized toward a maximum when the clean coefficient is negative.
 _MAXIMIZED_WHEN_NEGATIVE = frozenset({ShrinkageKind.WE, ShrinkageKind.WCOSH})
 

@@ -23,6 +23,7 @@ def test_config_defaults_give_standard_geometry():
         {"overlap_fraction": 1.0},
         {"overlap_fraction": -0.1},
         {"alpha": 0.0},
+        {"alpha": float("inf")},
         {"beta": 0.0},
         {"eta": 1.5},
         {"sample_rate": 0},

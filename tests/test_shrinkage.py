@@ -6,7 +6,7 @@ import pytest
 
 import riskshrink
 from riskshrink.risklab import oracle_argmin
-from riskshrink.shrinkage import ShrinkageKind, apply_shrinkage, gain, gain_array
+from riskshrink.shrinkage import ShrinkageKind, gain, gain_array
 
 ALL_KINDS = list(ShrinkageKind)
 
@@ -48,10 +48,9 @@ def test_alpha_shift_is_exact(kind):
 
 
 def test_parameter_validation():
-    with pytest.raises(ValueError):
-        gain(ShrinkageKind.MSE, 1.0, alpha=0.0)
-    with pytest.raises(ValueError):
-        gain(ShrinkageKind.MSE, 1.0, alpha=-2.0)
+    for alpha in (0.0, -2.0, np.inf):
+        with pytest.raises(ValueError, match="alpha"):
+            gain(ShrinkageKind.MSE, 1.0, alpha=alpha)
     with pytest.raises(ValueError):
         gain(ShrinkageKind.MSE, -1.0)
     with pytest.raises(ValueError):
@@ -73,22 +72,39 @@ def test_range_invariant(kind, alpha):
     assert np.all(np.isfinite(g))
 
 
-def test_gain_array_matches_scalar():
-    rng = np.random.default_rng(5)
-    xi = 10.0 ** rng.uniform(-4, 6, size=64)
-    for kind in ALL_KINDS:
-        vec = gain_array(kind, xi, 1.75)
-        ref = np.array([gain(kind, v, 1.75) for v in xi])
-        np.testing.assert_array_equal(vec, ref)
+# closed-form values at xi / alpha = 1 (u = 1)
+POINT_UNIT = {
+    ShrinkageKind.MSE: 0.0,
+    ShrinkageKind.WE: 1.0 / 409.0,
+    ShrinkageKind.LOG_MSE: math.exp(-220.25),
+    ShrinkageKind.IS: 1.0 / 901.0,
+    ShrinkageKind.IS_II: 4559.0**-0.5,
+    ShrinkageKind.COSH: math.sqrt(2.0 / 901.0),
+    ShrinkageKind.WCOSH: 8823.0**-0.5,
+}
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.75])
-def test_gain_array_matches_scalar_at_edges(alpha):
-    # zero, subnormal (1/xi_eff overflows), tiny, unit, huge and infinite xi
-    xi = np.array([0.0, 1e-320, 1e-300, 0.5, 1.0, 10.0, 1e9, np.inf])
+def test_pinned_values(alpha):
+    # zero, subnormal (1/xi_eff overflows), tiny and NaN xi shrink fully;
+    # infinite xi passes; unit xi_eff hits each closed form
+    xi_eff = np.array([0.0, 1e-320, 1e-300, np.nan, np.inf, 1.0])
     for kind in ALL_KINDS:
-        ref = np.array([gain(kind, v, alpha) for v in xi])
-        np.testing.assert_array_equal(gain_array(kind, xi, alpha), ref)
+        want = [0.0, 0.0, 0.0, 0.0, 1.0, POINT_UNIT[kind]]
+        got = gain_array(kind, xi_eff * alpha, alpha).tolist()
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0), kind
+
+
+def test_gain_is_gain_array_on_one_value():
+    # xi = 5 is a log_mse input where math.exp and np.exp differ by one ulp
+    edges = [0.0, 5e-324, 1e-300, 0.5, 5.0, 10.0, 1e9, np.inf, np.nan]
+    xi = np.concatenate([edges, 10.0 ** np.random.default_rng(5).uniform(-4, 6, 64)])
+    for kind in ALL_KINDS:
+        for alpha in (0.5, 1.0, 1.75):
+            for v, ref in zip(xi.tolist(), gain_array(kind, xi, alpha).tolist()):
+                g = gain(kind, v, alpha)
+                assert type(g) is float
+                assert g == ref
 
 
 def test_gain_array_nan_is_zero_without_warning():
@@ -110,33 +126,6 @@ def test_unknown_kind_rejected(kind):
 
 def test_backend_is_fixed():
     assert riskshrink.BACKEND == "python"
-
-
-# ---------------------------------------------------------------------------
-# apply_shrinkage
-# ---------------------------------------------------------------------------
-
-
-def test_apply_shrinkage_zero_xi_zeroes_frame():
-    coeffs = np.array([1.0, -2.0, 3.0])
-    out = apply_shrinkage(coeffs, np.zeros(3), ShrinkageKind.WCOSH)
-    assert np.all(out == 0.0)
-
-
-def test_apply_shrinkage_passthrough_at_huge_xi():
-    coeffs = np.array([1.0, -2.0, 3.0])
-    out = apply_shrinkage(coeffs, np.full(3, 1e12), ShrinkageKind.COSH)
-    np.testing.assert_allclose(out, coeffs, rtol=1e-6)
-
-
-def test_apply_shrinkage_single_bin_mse():
-    out = apply_shrinkage(np.array([3.0]), np.array([9.0]), ShrinkageKind.MSE, 1.0)
-    assert out[0] == pytest.approx(3.0 * (1.0 - 1.0 / 9.0), rel=1e-12)
-
-
-def test_apply_shrinkage_length_mismatch():
-    with pytest.raises(ValueError):
-        apply_shrinkage(np.zeros(4), np.zeros(5), ShrinkageKind.MSE)
 
 
 def test_monotonicity_diagnostic_scan():
