@@ -15,7 +15,6 @@ from .risklab import (
     oracle_argmin,
     risk_estimate,
     sample_truncated_gaussian,
-    true_risk_mc,
     unbiasedness_report,
 )
 from .shrinkage import BACKEND, ShrinkageKind, gain, gain_array
@@ -47,7 +46,6 @@ __all__ = [
     "risk_estimate",
     "sample_truncated_gaussian",
     "segmental_snr_db",
-    "true_risk_mc",
     "unbiasedness_report",
     "write_wav",
 ]

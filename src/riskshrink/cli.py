@@ -8,6 +8,7 @@ byte-identical outputs.
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -35,6 +36,18 @@ def _parse_kinds(text: str) -> list[ShrinkageKind]:
     if text.strip().lower() == "all":
         return list(ShrinkageKind)
     return [_parse_kind(name) for name in text.split(",")]
+
+
+def _parse_alpha(text: str) -> float:
+    """``--alpha`` of evaluate and curves: anything but ``0 < alpha < inf`` is a
+    usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must satisfy 0 < alpha < inf, got {text!r}")
+    return value
 
 
 # The denoise flags and the config-file keys: one value parser per
@@ -145,10 +158,8 @@ def _cmd_curves(args, parser) -> int:
         lo, hi, step = (float(v) for v in args.xi_db_range.split(":"))
     except ValueError:
         parser.error("--xi-db-range must look like lo:hi:step, e.g. -10:40:0.5")
-    if step <= 0 or hi < lo:
-        parser.error("--xi-db-range needs hi >= lo and step > 0")
-    if args.alpha is not None and args.alpha <= 0:
-        parser.error("--alpha must be positive")
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < step < math.inf) or hi < lo:
+        parser.error("--xi-db-range needs finite lo <= hi and 0 < step")
 
     n = int(np.floor((hi - lo) / step + 0.5)) + 1
     header = ["xi_db"] + [k.value for k in ShrinkageKind]
@@ -216,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--kinds", default="all", help="comma-separated kinds or 'all'")
     p_eval.add_argument("--out-csv", required=True)
     p_eval.add_argument("--seeds", default="0", help="comma-separated noise-segment seeds")
-    p_eval.add_argument("--alpha", type=float, default=1.75)
+    p_eval.add_argument("--alpha", type=_parse_alpha, default=1.75)
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_cur = subs.add_parser(
@@ -227,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="-10:40:0.5",
         help="lo:hi:step in dB (use --xi-db-range=-10:40:0.5 for negative lo)",
     )
-    p_cur.add_argument("--alpha", type=float, default=1.0)
+    p_cur.add_argument("--alpha", type=_parse_alpha, default=1.0)
     p_cur.add_argument("--out-csv", default=None, help="default: stdout")
     p_cur.set_defaults(func=_cmd_curves)
 

@@ -39,8 +39,8 @@ class DenoiserConfig:
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        if self.frame_ms <= 0:
-            raise ValueError(f"frame_ms must be positive, got {self.frame_ms}")
+        if not 0 < self.frame_ms < np.inf:
+            raise ValueError(f"frame_ms must be positive and finite, got {self.frame_ms}")
         raw_len = self.sample_rate * self.frame_ms / 1000.0
         if abs(raw_len - round(raw_len)) > 1e-9 or round(raw_len) < 1:
             raise ValueError(
@@ -68,6 +68,8 @@ class DenoiserConfig:
             raise ValueError(
                 f"init_noise_frames must be at least 1, got {self.init_noise_frames}"
             )
+        if not np.isfinite(self.vad_threshold):
+            raise ValueError(f"vad_threshold must be finite, got {self.vad_threshold}")
         if self.vad_hangover < 0:
             raise ValueError(f"vad_hangover must be >= 0, got {self.vad_hangover}")
 

@@ -1,10 +1,11 @@
 """Numerical verification machinery for the shrinkage family.
 
 Everything the closed-form gains rely on is checked here by independent
-numerics: truncated-Gaussian sampling, first-order and generalized
-Stein-type identity checks under truncation, the per-measure risk estimates,
-brute-force grid minimization standing in for the constrained-optimality
-algebra, and Monte Carlo evaluation of the true ensemble distortions.
+numerics: truncated-Gaussian sampling, one Stein-type identity check of
+order 0 to 4 under truncation (order 0 is the first-order identity), the
+per-measure risk estimates, brute-force grid minimization standing in for the
+constrained-optimality algebra, and Monte Carlo comparison of the true
+distortions with their estimates.
 
 All randomness flows through explicit integer seeds (numpy ``PCG64``
 generators, whose streams are platform-independent for a given numpy
@@ -73,16 +74,6 @@ class SyntheticScene:
     def high_snr(self) -> bool:
         """True when ``|clean| > 2*c*sigma``, which forces ``|W| < |X|`` surely."""
         return abs(self.clean) > 2.0 * self.spec.bound
-
-
-@dataclass(frozen=True)
-class RiskEvaluation:
-    """Value of a risk estimate at one (kind, gain, observation) point."""
-
-    kind: ShrinkageKind
-    a: float
-    value: float
-    includes_signal_constant: bool
 
 
 @dataclass(frozen=True)
@@ -172,43 +163,33 @@ def _stein_pair(f_id: str, spec: TruncatedGaussianSpec):
         raise ValueError(f"unknown Stein test function {f_id!r}") from None
 
 
-def stein_identity_check(
-    f_id: str, spec: TruncatedGaussianSpec, n_samples: int, seed: int
-) -> CheckResult:
-    """First-order identity: mean of ``W*f(W)`` against ``sigma**2 * mean f'(W)``.
-
-    The tolerance combines three MC standard errors of the per-sample
-    difference with the ``exp(-c**2)`` truncation allowance.
-    """
-    f, fprime = _stein_pair(f_id, spec)
-    w = sample_truncated_gaussian(spec, n_samples, seed)
-    lhs_terms = w * f(w)
-    rhs_terms = spec.sigma**2 * fprime(w)
-    stderr = np.std(lhs_terms - rhs_terms, ddof=1) / math.sqrt(n_samples)
-    tol = 3.0 * stderr + math.exp(-spec.c**2)
-    return CheckResult(
-        name=f"stein:{f_id}:sigma={spec.sigma:g}",
-        lhs=float(np.mean(lhs_terms)),
-        rhs=float(np.mean(rhs_terms)),
-        tol=float(tol),
-    )
-
-
 def generalized_stein_check(
     f_id: str, n: int, spec: TruncatedGaussianSpec, n_samples: int, seed: int
 ) -> CheckResult:
-    """Higher-order identity: mean of ``W**(n+1) * f(W)`` against
-    ``sigma**2 * (mean f'(W) W**n + n * mean f(W) W**(n-1))``."""
-    if n not in (1, 2, 3, 4):
-        raise ValueError(f"order n must be in 1..4, got {n}")
+    """Stein-type identity of order ``n`` in 0..4: mean of ``W**(n+1) * f(W)``
+    against ``sigma**2 * (mean f'(W) W**n + n * mean f(W) W**(n-1))``.
+
+    Order 0 is the first-order identity, ``E[W f(W)] = sigma**2 E[f'(W)]``.
+    The tolerance combines three MC standard errors of the per-sample
+    difference with the ``exp(-c**2)`` truncation allowance.
+    """
+    if n not in (0, 1, 2, 3, 4):
+        raise ValueError(f"order n must be in 0..4, got {n}")
     f, fprime = _stein_pair(f_id, spec)
     w = sample_truncated_gaussian(spec, n_samples, seed)
-    lhs_terms = w ** (n + 1) * f(w)
-    rhs_terms = spec.sigma**2 * (fprime(w) * w**n + n * f(w) * w ** (n - 1))
+    fw = f(w)
+    if n == 0:
+        lhs_terms = w * fw
+        rhs_terms = spec.sigma**2 * fprime(w)
+        name = f"stein:{f_id}:sigma={spec.sigma:g}"
+    else:
+        lhs_terms = w ** (n + 1) * fw
+        rhs_terms = spec.sigma**2 * (fprime(w) * w**n + n * fw * w ** (n - 1))
+        name = f"stein_gen:n={n}:{f_id}:sigma={spec.sigma:g}"
     stderr = np.std(lhs_terms - rhs_terms, ddof=1) / math.sqrt(n_samples)
     tol = 3.0 * stderr + math.exp(-spec.c**2)
     return CheckResult(
-        name=f"stein_gen:n={n}:{f_id}:sigma={spec.sigma:g}",
+        name=name,
         lhs=float(np.mean(lhs_terms)),
         rhs=float(np.mean(rhs_terms)),
         tol=float(tol),
@@ -220,14 +201,18 @@ def generalized_stein_check(
 # ---------------------------------------------------------------------------
 
 
-def _risk_value(kind: ShrinkageKind, a, x, sigma: float, clean=None):
-    """Risk-estimate value, broadcastable over ``a`` and ``x``.
+def risk_estimate(kind: ShrinkageKind, a, x, sigma: float, clean=None):
+    """Risk-estimate value for candidate gains ``a``, broadcast over ``a`` and ``x``.
 
-    Signal-dependent constants enter only when ``clean`` is given.  Singular
+    Without ``clean`` the value omits the a-independent signal terms and bare
+    constants, which is all the minimizer needs; with ``clean`` the full
+    expression is returned (required for unbiasedness comparisons).  Singular
     ``a = 0`` endpoints come out as infinities of the appropriate sign.
     """
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
+    if not np.all((a >= 0.0) & (a <= 1.0)):
+        raise ValueError(f"gain candidate must lie in [0, 1], got {a}")
     if kind is not ShrinkageKind.MSE and np.any(x == 0.0):
         raise ValueError(f"{kind.value} risk estimate undefined at X = 0")
     sig2 = sigma * sigma
@@ -280,25 +265,6 @@ def _risk_value(kind: ShrinkageKind, a, x, sigma: float, clean=None):
     raise ValueError(f"unknown kind {kind}")
 
 
-def risk_estimate(
-    kind: ShrinkageKind,
-    a: float,
-    x: float,
-    sigma: float,
-    clean: float | None = None,
-) -> RiskEvaluation:
-    """Evaluate the risk estimate for one candidate gain.
-
-    Without ``clean`` the value omits the a-independent signal terms and bare
-    constants, which is all the minimizer needs; with ``clean`` the full
-    expression is returned (required for unbiasedness comparisons).
-    """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"gain candidate must lie in [0, 1], got {a}")
-    value = float(_risk_value(kind, a, x, sigma, clean))
-    return RiskEvaluation(kind, a, value, clean is not None)
-
-
 def oracle_argmin(
     kind: ShrinkageKind,
     x: float,
@@ -316,7 +282,7 @@ def oracle_argmin(
         raise ValueError(f"grid_step must be in (0, 0.5], got {grid_step}")
     npts = int(round(1.0 / grid_step)) + 1
     grid = np.linspace(0.0, 1.0, npts)
-    values = _risk_value(kind, grid, x, sigma)
+    values = risk_estimate(kind, grid, x, sigma)
     if sign_of_clean < 0 and kind in _MAXIMIZED_WHEN_NEGATIVE:
         idx = int(np.argmax(values))
     else:
@@ -361,19 +327,6 @@ def _require_scene(kind: ShrinkageKind, scene: SyntheticScene) -> None:
         )
 
 
-def true_risk_mc(
-    kind: ShrinkageKind,
-    a: float,
-    scene: SyntheticScene,
-    n_samples: int,
-    seed: int,
-) -> float:
-    """Monte Carlo mean of the true distortion of the shrinkage ``a``."""
-    _require_scene(kind, scene)
-    w = sample_truncated_gaussian(scene.spec, n_samples, seed)
-    return float(np.mean(_distortion(kind, a, scene.clean, scene.clean + w)))
-
-
 def unbiasedness_report(
     kind: ShrinkageKind,
     a: float,
@@ -390,7 +343,7 @@ def unbiasedness_report(
     w = sample_truncated_gaussian(scene.spec, n_samples, seed)
     x = scene.clean + w
     d = _distortion(kind, a, scene.clean, x)
-    est = _risk_value(kind, a, x, scene.spec.sigma, clean=scene.clean)
+    est = risk_estimate(kind, a, x, scene.spec.sigma, clean=scene.clean)
     stderr = float(np.std(d - est, ddof=1) / math.sqrt(n_samples))
     return UnbiasednessReport(
         mean_true=float(np.mean(d)),
@@ -466,13 +419,10 @@ def verification_suite(
         )
     )
 
-    # Stein identities, first-order and generalized
+    # Stein identities, first-order (n = 0) and generalized
     for sigma in (0.5, 1.0, 2.0):
         spec = TruncatedGaussianSpec(sigma=sigma, c=c)
-        for f_id in STEIN_FUNCTION_IDS:
-            sub += 1
-            rows.append(stein_identity_check(f_id, spec, n_samples, sub))
-        for n in (1, 2, 3, 4):
+        for n in (0, 1, 2, 3, 4):
             for f_id in STEIN_FUNCTION_IDS:
                 sub += 1
                 rows.append(generalized_stein_check(f_id, n, spec, n_samples, sub))

@@ -7,10 +7,11 @@ Parseval (sum of squares preserved) and i.i.d. time-domain noise of variance
 analysis window a second time and normalizes by the summed squared window,
 which reconstructs the interior of the signal exactly for any window/hop pair.
 
-Both directions also run block by block over a frame view
-(:func:`frame_view`, :func:`overlap_add_block`, :func:`overlap_normalize`),
-with the same bits as a whole-signal pass, so no buffer of frames or
-coefficients needs to span the signal.
+Both directions run block by block: analysis slices a read-only frame view
+(:func:`frame_view`), synthesis accumulates blocks of frames in place
+(:func:`overlap_add_block`) and normalizes once at the end
+(:func:`overlap_normalize`).  Any split into blocks gives the same bits, so
+no buffer of frames or coefficients needs to span the signal.
 """
 
 from dataclasses import dataclass
@@ -71,16 +72,6 @@ def frame_view(signal: np.ndarray, grid: FrameGrid) -> np.ndarray:
     return sliding_window_view(padded, grid.frame_len, axis=-1)[..., :: grid.hop, :]
 
 
-def frame_signal(signal: np.ndarray, grid: FrameGrid) -> np.ndarray:
-    """Slice a signal into the grid's frames, zero-padding the tail.
-
-    Returns a new array of shape ``(num_frames, frame_len)``.
-    """
-    if grid.num_frames == 0:
-        return np.zeros((0, grid.frame_len))
-    return frame_view(signal, grid).copy()
-
-
 def dct_forward(windowed_frame: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II along the last axis."""
     windowed_frame = np.asarray(windowed_frame, dtype=np.float64)
@@ -122,26 +113,3 @@ def overlap_normalize(out: np.ndarray, grid: FrameGrid, window: np.ndarray) -> n
     np.divide(out, norm, out=out, where=covered)
     np.copyto(out, 0.0, where=~covered)
     return out
-
-
-def overlap_add(frames: np.ndarray, grid: FrameGrid, window: np.ndarray) -> np.ndarray:
-    """Weighted overlap-add synthesis.
-
-    Each time-domain frame is multiplied by the window and accumulated at its
-    grid position; the result is normalized by the accumulated squared window.
-    Positions where that normalizer is below ``1e-12`` come out as zero.
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    window = np.asarray(window, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[0] != grid.num_frames:
-        raise ValueError(
-            f"expected {grid.num_frames} frames, got shape {frames.shape}"
-        )
-    if frames.shape[1] != grid.frame_len or window.shape[0] != grid.frame_len:
-        raise ValueError(
-            f"frame/window length mismatch: frames {frames.shape}, "
-            f"window {window.shape}, frame_len {grid.frame_len}"
-        )
-    out = np.zeros(grid.padded_len)
-    overlap_add_block(out, frames, grid, window, 0)
-    return overlap_normalize(out, grid, window)

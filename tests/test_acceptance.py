@@ -22,7 +22,6 @@ from riskshrink.risklab import (
     generalized_stein_check,
     high_snr_event_check,
     oracle_argmin,
-    stein_identity_check,
     unbiasedness_report,
     unbiasedness_tolerance,
 )
@@ -30,10 +29,11 @@ from riskshrink.shrinkage import ShrinkageKind, gain
 from riskshrink.stdct import (
     dct_forward,
     dct_inverse,
-    frame_signal,
+    frame_view,
     hamming_window,
     make_frame_grid,
-    overlap_add,
+    overlap_add_block,
+    overlap_normalize,
 )
 
 N_SAMPLES = 1_000_000
@@ -53,11 +53,7 @@ def test_stein_identities():
     for sigma in (0.5, 1.0, 2.0):
         spec = TruncatedGaussianSpec(sigma=sigma, c=C_TRUNC)
         for f_id in STEIN_FUNCTION_IDS:
-            seed += 1
-            res = stein_identity_check(f_id, spec, N_SAMPLES, seed)
-            if not res.passed:
-                failures.append(res.name)
-            for n in (1, 2, 3, 4):
+            for n in (0, 1, 2, 3, 4):
                 seed += 1
                 res = generalized_stein_check(f_id, n, spec, N_SAMPLES, seed)
                 if not res.passed:
@@ -157,9 +153,11 @@ def test_dsp_roundtrip():
     x = rng.standard_normal(1600)
     grid = make_frame_grid(x.shape[0], 320, 80)
     w = hamming_window(320)
-    frames = frame_signal(x, grid) * w
+    frames = frame_view(x, grid) * w
     coeffs = dct_forward(frames)
-    y = overlap_add(dct_inverse(coeffs), grid, w)[: x.shape[0]]
+    y = np.zeros(grid.padded_len)
+    overlap_add_block(y, dct_inverse(coeffs), grid, w, 0)
+    y = overlap_normalize(y, grid, w)[: x.shape[0]]
     interior = slice(320, x.shape[0] - 320)
     rt_err = np.max(np.abs(y[interior] - x[interior])) / np.max(np.abs(x[interior]))
     if rt_err > 1e-6:

@@ -59,10 +59,24 @@ def test_curves_row_count_and_values(tmp_path):
     assert all(float(v) > 0.99 for v in last[1:])
 
 
-def test_curves_bad_range_is_usage_error(tmp_path):
+@pytest.mark.parametrize(
+    "xi_db_range",
+    ["oops", "10:0:1", "0:10:0", "0:inf:1", "-inf:0:1", "nan:10:1", "0:10:inf", "0:10:nan"],
+)
+def test_curves_bad_range_is_usage_error(xi_db_range):
     with pytest.raises(SystemExit) as exc:
-        main(["curves", "--xi-db-range", "oops"])
+        main(["curves", "--xi-db-range=" + xi_db_range])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan", "0", "-1", "abc"])
+@pytest.mark.parametrize("command", ["curves", "evaluate"])
+def test_bad_alpha_is_usage_error(command, alpha, tmp_path, capsys):
+    files = ["--clean", "c.wav", "--noise", "n.wav", "--out-csv", str(tmp_path / "x.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--alpha", alpha] + (files if command == "evaluate" else []))
+    assert exc.value.code == 2
+    assert "0 < alpha < inf" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +176,16 @@ def test_unknown_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["denoise", "--in", "a.wav", "--out", "b.wav", "--frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--frame-ms", "inf"), ("--frame-ms", "nan"), ("--vad-threshold", "nan")]
+)
+def test_denoise_non_finite_value_is_usage_error(flag, value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["denoise", "--in", "a.wav", "--out", str(tmp_path / "o.wav"), flag, value])
+    assert exc.value.code == 2
+    assert "finite" in capsys.readouterr().err
 
 
 def test_denoise_missing_file_fails_without_output(tmp_path, capsys):

@@ -29,6 +29,10 @@ def test_config_defaults_give_standard_geometry():
         {"sample_rate": 0},
         {"init_noise_frames": 0},
         {"vad_hangover": -1},
+        {"frame_ms": float("inf")},
+        {"frame_ms": float("nan")},
+        {"vad_threshold": float("nan")},
+        {"vad_threshold": float("inf")},
     ],
 )
 def test_config_validation(kwargs):
