@@ -84,7 +84,13 @@ def mix_at_snr(
         raise ValueError("clean signal has zero power")
     if p_noise == 0.0:
         raise ValueError("selected noise segment has zero power")
-    g = np.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
+    try:
+        g_sq = p_clean / (p_noise * 10.0 ** (snr_db / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        g_sq = 0.0
+    if not 0.0 < g_sq < np.inf:
+        raise ValueError(f"snr_db={snr_db} gives no finite, nonzero noise scale")
+    g = np.sqrt(g_sq)
     scaled = g * segment
     return (
         AudioBuffer(clean.samples + scaled, clean.sample_rate),

@@ -123,6 +123,10 @@ def _cmd_evaluate(args, parser) -> int:
         parser.error(str(exc))
     if not snrs or not seeds:
         parser.error("--snr-list and --seeds must be non-empty")
+    if not all(map(math.isfinite, snrs)):
+        parser.error("--snr-list values must be finite")
+    if min(seeds) < 0:
+        parser.error("--seeds must be non-negative")
     clean = read_wav(args.clean)
     noise = read_wav(args.noise)
 
@@ -158,8 +162,9 @@ def _cmd_curves(args, parser) -> int:
         lo, hi, step = (float(v) for v in args.xi_db_range.split(":"))
     except ValueError:
         parser.error("--xi-db-range must look like lo:hi:step, e.g. -10:40:0.5")
-    if not (math.isfinite(lo) and math.isfinite(hi) and 0 < step < math.inf) or hi < lo:
-        parser.error("--xi-db-range needs finite lo <= hi and 0 < step")
+    # (hi - lo) / step is finite only for finite lo and hi, and a countable range
+    if not (0 < step < math.inf and lo <= hi and math.isfinite((hi - lo) / step)):
+        parser.error("--xi-db-range needs finite lo <= hi, 0 < step, finite (hi-lo)/step")
 
     n = int(np.floor((hi - lo) / step + 0.5)) + 1
     header = ["xi_db"] + [k.value for k in ShrinkageKind]
@@ -183,6 +188,8 @@ def _cmd_curves(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     if args.samples <= 0:
         parser.error("--samples must be positive")
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     if not 0.0 < args.grid_step <= 0.5:
         parser.error("--grid-step must be in (0, 0.5]")
     rows = risklab.verification_suite(

@@ -6,6 +6,9 @@ import numpy as np
 
 # Returned when the test signal matches the reference (or nearly so).
 SNR_CAP_DB = 100.0
+# Per-segment clamp of the segmental SNR.
+SEG_FLOOR_DB = -10.0
+SEG_CEIL_DB = 35.0
 
 
 @dataclass(frozen=True)
@@ -38,14 +41,8 @@ def global_snr_db(clean: np.ndarray, test: np.ndarray) -> float:
     return min(10.0 * np.log10(p_signal / p_error), SNR_CAP_DB)
 
 
-def segmental_snr_db(
-    clean: np.ndarray,
-    test: np.ndarray,
-    seg_len: int = 320,
-    floor_db: float = -10.0,
-    ceil_db: float = 35.0,
-) -> float:
-    """Mean of per-segment SNRs, each clamped to ``[floor_db, ceil_db]``.
+def segmental_snr_db(clean: np.ndarray, test: np.ndarray, seg_len: int = 320) -> float:
+    """Mean of per-segment SNRs, each clamped to ``[SEG_FLOOR_DB, SEG_CEIL_DB]``.
 
     Only complete segments with nonzero clean energy contribute.
     """
@@ -63,7 +60,9 @@ def segmental_snr_db(
     p_signal, p_error = p_signal[voiced], p_error[voiced]
     with np.errstate(divide="ignore"):
         snr = 10.0 * np.log10(p_signal / p_error)
-    values = np.where(p_error == 0.0, ceil_db, np.clip(snr, floor_db, ceil_db))
+    values = np.where(
+        p_error == 0.0, SEG_CEIL_DB, np.clip(snr, SEG_FLOOR_DB, SEG_CEIL_DB)
+    )
     return float(np.mean(values))
 
 

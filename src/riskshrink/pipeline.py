@@ -105,7 +105,7 @@ def _run(noisy: np.ndarray, config: DenoiserConfig, kinds):
     as speech (hangover included) out of ``num_frames``.
     """
     x = np.asarray(noisy, dtype=np.float64)
-    if x.size and not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(x)):
         raise ValueError("input contains NaN or Inf samples")
     frame_len, hop = config.frame_len, config.hop
     init = config.init_noise_frames
@@ -120,22 +120,15 @@ def _run(noisy: np.ndarray, config: DenoiserConfig, kinds):
     window = stdct.hamming_window(frame_len)
     frames = stdct.frame_view(x, grid)
     streams = (len(kinds), x.shape[0])
+    first = stdct.dct_forward(frames[:, :init] * window)
+    state = tracking.initialize(np.broadcast_to(first, streams + first.shape[1:]))
     out = np.zeros(streams + (grid.padded_len,))
     speech_frames = np.zeros(streams, dtype=np.int64)
-    state = None
-    start = 0
     with np.errstate(divide="ignore"):  # 1/inv_xi where inv_xi == 0
-        while start < grid.num_frames:
-            # the first block holds every initialization frame
-            stop = min(max(start + _BLOCK_FRAMES, init), grid.num_frames)
-            coeffs = stdct.dct_forward(frames[:, start:stop] * window)
-            if state is None:
-                first = coeffs[:, :init]
-                state = tracking.initialize(
-                    np.broadcast_to(first, (len(kinds),) + first.shape), init
-                )
+        for start in range(0, grid.num_frames, _BLOCK_FRAMES):
+            coeffs = stdct.dct_forward(frames[:, start : start + _BLOCK_FRAMES] * window)
             denoised = np.empty(streams + coeffs.shape[1:])
-            for j in range(stop - start):
+            for j in range(coeffs.shape[1]):
                 frame = coeffs[:, j]
                 inv_xi, speech = tracking.step(
                     state,
@@ -146,14 +139,13 @@ def _run(noisy: np.ndarray, config: DenoiserConfig, kinds):
                     beta=config.beta,
                 )
                 speech_frames += speech
-                xi = np.where(inv_xi > 0.0, 1.0 / inv_xi, np.inf)
+                xi = 1.0 / inv_xi
                 shrunk = denoised[:, :, j]
                 for k, kind in enumerate(kinds):
                     g = gain_array(kind, xi[k], config.alpha)
                     np.multiply(g, frame, out=shrunk[k])
                 state.prev_denoised = shrunk
             stdct.overlap_add_block(out, stdct.dct_inverse(denoised), grid, window, start)
-            start = stop
     stdct.overlap_normalize(out, grid, window)
     return out[..., : x.shape[-1]], speech_frames, grid.num_frames
 

@@ -388,11 +388,12 @@ GAIN_POINT_XI10 = {
 }
 
 
+# Random scenes per gain in the suite's grid-oracle comparison.
+_ORACLE_SCENES = 200
+
+
 def verification_suite(
-    n_samples: int = 1_000_000,
-    seed: int = 0,
-    grid_step: float = 1e-4,
-    oracle_scenes: int = 200,
+    n_samples: int = 1_000_000, seed: int = 0, grid_step: float = 1e-4
 ) -> list[CheckResult]:
     """Run every numerical claim check and return one result row per check."""
     if n_samples <= 0:
@@ -431,7 +432,7 @@ def verification_suite(
     rng = np.random.default_rng(seed + 7_001)
     for kind in ShrinkageKind:
         worst = 0.0
-        for _ in range(oracle_scenes):
+        for _ in range(_ORACLE_SCENES):
             sigma = rng.uniform(0.5, 2.0)
             xi = 10.0 ** rng.uniform(math.log10(25.0), 5.0)
             sign = 1 if rng.random() < 0.5 else -1

@@ -38,21 +38,16 @@ class TrackerState:
     frames_seen: int = 0
 
 
-def initialize(first_frames: np.ndarray, init_count: int = 10) -> TrackerState:
+def initialize(first_frames: np.ndarray) -> TrackerState:
     """Build initial state from leading frames assumed to contain only noise.
 
     ``first_frames`` has shape ``(..., frames, bins)``; the per-bin variance
-    of each stream is the average squared coefficient over its first
-    ``init_count`` frames.
+    of each stream is the average squared coefficient over all its frames.
     """
     frames = np.atleast_2d(np.asarray(first_frames, dtype=np.float64))
-    if init_count < 1:
-        raise ValueError(f"init_count must be at least 1, got {init_count}")
-    if frames.shape[-2] < init_count:
-        raise ValueError(
-            f"need {init_count} initialization frames, got {frames.shape[-2]}"
-        )
-    noise_var = np.mean(frames[..., :init_count, :] ** 2, axis=-2)
+    if frames.shape[-2] == 0:
+        raise ValueError("need at least one initialization frame, got 0")
+    noise_var = np.mean(frames**2, axis=-2)
     return TrackerState(
         noise_var=noise_var,
         prev_denoised=np.zeros_like(noise_var),
@@ -80,7 +75,7 @@ def vad(x_sq: np.ndarray, state: TrackerState) -> np.ndarray:
 
 
 def update_noise(
-    x_sq: np.ndarray, speech: np.ndarray, state: TrackerState, eta: float = 0.98
+    x_sq: np.ndarray, speech: np.ndarray, state: TrackerState, eta: float
 ) -> None:
     """Exponential noise-variance update in place, frozen in speech streams."""
     blended = eta * state.noise_var + (1.0 - eta) * x_sq
@@ -101,26 +96,23 @@ def step(
     A stream counts as speech when its VAD statistic exceeds ``threshold``
     or for ``hangover`` frames after one that did; its noise variance
     updates only otherwise.  Then, with the updated variance,
-    ``1/xi = beta * noise_var/X**2 + (1-beta) * max(1 - S_prev**2/X_prev**2, 0)``;
-    the very first frame uses unit ``beta``.  Bins with ``X = 0`` get an
-    infinite inverse SNR, which downstream maps to zero gain.
+    ``1/xi = b * noise_var/X**2 + (1-b) * max(1 - S_prev**2/X_prev**2, 0)``
+    with ``b = beta``, except ``b = 1`` on the very first frame, which has no
+    previous one.  Bins with ``X = 0`` get an infinite inverse SNR, which
+    downstream maps to zero gain.
     """
     x_sq = np.asarray(frame, dtype=np.float64) ** 2
     raw = vad(x_sq, state) > threshold
     speech = raw | (state.hang > 0)
     state.hang = np.where(raw, hangover, np.maximum(state.hang - 1, 0))
     update_noise(x_sq, speech, state, eta)
+    b = beta if state.frames_seen else 1.0
     nv = state.noise_var
     with np.errstate(divide="ignore", invalid="ignore"):
-        if state.frames_seen == 0:
-            inv = np.where(x_sq > 0.0, nv / x_sq, np.inf)
-        else:
-            prev_sq = state.prev_noisy_sq
-            ratio = np.where(prev_sq > 0.0, state.prev_denoised**2 / prev_sq, 0.0)
-            residual = np.maximum(1.0 - ratio, 0.0)
-            inv = np.where(
-                x_sq > 0.0, beta * nv / x_sq + (1.0 - beta) * residual, np.inf
-            )
+        prev_sq = state.prev_noisy_sq
+        ratio = np.where(prev_sq > 0.0, state.prev_denoised**2 / prev_sq, 0.0)
+        residual = np.maximum(1.0 - ratio, 0.0)
+        inv = np.where(x_sq > 0.0, b * nv / x_sq + (1.0 - b) * residual, np.inf)
     state.prev_noisy_sq = x_sq
     state.frames_seen += 1
     return inv, speech

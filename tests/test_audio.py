@@ -152,6 +152,13 @@ def test_mix_validation():
         mix_at_snr(_tone(100), AudioBuffer(np.zeros(100), 8000), 0.0, 0)
 
 
+@pytest.mark.parametrize("snr_db", [np.inf, -np.inf, np.nan, 1e308, -1e308])
+def test_mix_rejects_unusable_snr(snr_db):
+    # the power ratio 10**(snr_db/10) is infinite, zero or NaN
+    with pytest.raises(ValueError, match="noise scale"):
+        mix_at_snr(_tone(1000), _tone(1000), snr_db, 0)
+
+
 # ---------------------------------------------------------------------------
 # noise generation
 # ---------------------------------------------------------------------------

@@ -61,7 +61,17 @@ def test_curves_row_count_and_values(tmp_path):
 
 @pytest.mark.parametrize(
     "xi_db_range",
-    ["oops", "10:0:1", "0:10:0", "0:inf:1", "-inf:0:1", "nan:10:1", "0:10:inf", "0:10:nan"],
+    [
+        "oops",
+        "10:0:1",
+        "0:10:0",
+        "0:inf:1",
+        "-inf:0:1",
+        "nan:10:1",
+        "0:10:inf",
+        "0:10:nan",
+        "0:1e300:1e-300",
+    ],
 )
 def test_curves_bad_range_is_usage_error(xi_db_range):
     with pytest.raises(SystemExit) as exc:
@@ -77,6 +87,26 @@ def test_bad_alpha_is_usage_error(command, alpha, tmp_path, capsys):
         main([command, "--alpha", alpha] + (files if command == "evaluate" else []))
     assert exc.value.code == 2
     assert "0 < alpha < inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["evaluate", "--snr-list=-inf"], "--snr-list"),
+        (["evaluate", "--snr-list=inf"], "--snr-list"),
+        (["evaluate", "--snr-list=5,nan"], "--snr-list"),
+        (["evaluate", "--seeds=0,-1"], "--seeds"),
+        (["verify", "--seed=-1"], "--seed"),
+    ],
+    ids=["snr-minus-inf", "snr-inf", "snr-nan", "negative-seeds", "verify-negative-seed"],
+)
+def test_bad_snr_or_seed_is_usage_error(argv, message, tmp_path, capsys):
+    # the WAVs do not exist: the check comes before any file is read
+    files = ["--clean", "c.wav", "--noise", "n.wav", "--out-csv", str(tmp_path / "x.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (files if argv[0] == "evaluate" else []))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

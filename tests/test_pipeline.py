@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -144,6 +145,35 @@ def test_lockstep_long_init_spans_blocks():
                 out[k, i], denoise(noisy[i], DenoiserConfig(
                     init_noise_frames=40, overlap_fraction=0.5, kind=kind))
             )
+
+
+# sha256 of the raw float64 output of denoise_kinds, computed with numpy 2.4.6
+# and scipy 1.17.1; another build may round the transforms differently.
+_PINNED_SHA256 = {
+    "default": "b0c465790fbf23eac7ac5b3a54d5f8ec096e9dfe92ecd77d976c113bb9106e85",
+    "init20_overlap0.5": "de659e8e8541159627ca7a4a379093ab476563727d1d5715aaf4f19ec60e8c20",
+    "init1": "cf654c85f31d83db09021a04e83b19dcadd0295f563ed4d6be97b2c95295608b",
+}
+
+
+@pytest.mark.parametrize(
+    "case, overrides",
+    [
+        ("default", {}),
+        # more initialization frames than one analysis block holds
+        ("init20_overlap0.5", {"init_noise_frames": 20, "overlap_fraction": 0.5}),
+        ("init1", {"init_noise_frames": 1}),
+    ],
+)
+def test_output_bits_pinned(case, overrides, voiced_buffer):
+    clean = voiced_buffer.samples[:12000]
+    noisy = np.stack(
+        [clean + generate_white_noise(12000, 0.05, seed=s).samples for s in (50, 51)]
+    )
+    noisy[1, :1600] = 0.0  # digital-silence lead-in
+    out = denoise_kinds(noisy, DenoiserConfig(**overrides), list(ShrinkageKind))
+    digest = hashlib.sha256(np.ascontiguousarray(out, dtype="<f8").tobytes()).hexdigest()
+    assert digest == _PINNED_SHA256[case]
 
 
 @pytest.mark.parametrize("kind", list(ShrinkageKind))

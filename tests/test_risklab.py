@@ -321,7 +321,7 @@ def test_event_probability_at_boundary():
 
 
 def test_verification_suite_small():
-    rows = verification_suite(n_samples=20_000, seed=2, grid_step=1e-3, oracle_scenes=10)
+    rows = verification_suite(n_samples=20_000, seed=2, grid_step=1e-3)
     failures = [r for r in rows if not r.passed]
     assert not failures, [f.name for f in failures]
     # perfbench's verify_lab and the verify report depend on this layout
