@@ -44,6 +44,8 @@ def read_wav(path) -> AudioBuffer:
             raise WavFormatError(f"{path}: compressed WAV is not supported")
         rate = reader.getframerate()
         raw = reader.readframes(reader.getnframes())
+    if len(raw) % 2:
+        raise WavFormatError(f"{path}: truncated file, the data ends mid-sample")
     ints = np.frombuffer(raw, dtype="<i2")
     return AudioBuffer(samples=ints.astype(np.float64) / _FULL_SCALE, sample_rate=rate)
 

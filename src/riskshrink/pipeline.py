@@ -7,8 +7,11 @@ frame, including those leading ones, is denoised in order: one tracker step
 per-bin gain, inverse transform and weighted overlap-add.
 
 Several streams run in lockstep: every input row with every requested gain,
-one tracker step per frame for all of them.  Analysis and synthesis go in
-blocks of frames, so no buffer of coefficients spans the whole signal.
+one tracker step per frame for all of them.  The VAD and the noise floor run
+once per input, primed by the mse (Wiener) estimate, so that gain always runs
+as the first row, and its output is dropped when it was not requested.
+Analysis and synthesis go in blocks of frames, so no buffer of coefficients
+spans the whole signal.
 """
 
 from dataclasses import dataclass, replace
@@ -85,7 +88,7 @@ class DenoiserConfig:
 @dataclass(frozen=True)
 class DenoiseSummary:
     """Per-file run record; ``speech_fraction`` counts hangover-extended
-    speech decisions."""
+    speech decisions, which depend on the input alone, not on the kind."""
 
     frames: int
     speech_fraction: float
@@ -101,7 +104,7 @@ def _run(noisy: np.ndarray, config: DenoiserConfig, kinds):
     gain in ``kinds``, all streams in lockstep.
 
     Returns ``(out, speech_frames, num_frames)``: the output, shape
-    ``(kinds, inputs, samples)``, and per stream the count of frames taken
+    ``(kinds, inputs, samples)``, and per input the count of frames taken
     as speech (hangover included) out of ``num_frames``.
     """
     x = np.asarray(noisy, dtype=np.float64)
@@ -116,18 +119,22 @@ def _run(noisy: np.ndarray, config: DenoiserConfig, kinds):
             f"{init} initialization frames"
         )
 
+    # The gains stepped per frame: mse first, since the VAD reads its
+    # estimate, then each other requested kind once; ``keep`` picks the
+    # output rows in the order of ``kinds``.
+    rows = list(dict.fromkeys([ShrinkageKind.MSE, *kinds]))
+    keep = [rows.index(kind) for kind in kinds]
     grid = stdct.make_frame_grid(x.shape[-1], frame_len, hop)
     window = stdct.hamming_window(frame_len)
     frames = stdct.frame_view(x, grid)
-    streams = (len(kinds), x.shape[0])
-    first = stdct.dct_forward(frames[:, :init] * window)
-    state = tracking.initialize(np.broadcast_to(first, streams + first.shape[1:]))
-    out = np.zeros(streams + (grid.padded_len,))
-    speech_frames = np.zeros(streams, dtype=np.int64)
+    state = tracking.initialize(stdct.dct_forward(frames[:, :init] * window))
+    state.prev_denoised = np.zeros((len(rows),) + state.noise_var.shape)
+    out = np.zeros((len(kinds), x.shape[0], grid.padded_len))
+    speech_frames = np.zeros(x.shape[0], dtype=np.int64)
     with np.errstate(divide="ignore"):  # 1/inv_xi where inv_xi == 0
         for start in range(0, grid.num_frames, _BLOCK_FRAMES):
             coeffs = stdct.dct_forward(frames[:, start : start + _BLOCK_FRAMES] * window)
-            denoised = np.empty(streams + coeffs.shape[1:])
+            denoised = np.empty((len(rows),) + coeffs.shape)
             for j in range(coeffs.shape[1]):
                 frame = coeffs[:, j]
                 inv_xi, speech = tracking.step(
@@ -141,11 +148,12 @@ def _run(noisy: np.ndarray, config: DenoiserConfig, kinds):
                 speech_frames += speech
                 xi = 1.0 / inv_xi
                 shrunk = denoised[:, :, j]
-                for k, kind in enumerate(kinds):
+                for k, kind in enumerate(rows):
                     g = gain_array(kind, xi[k], config.alpha)
                     np.multiply(g, frame, out=shrunk[k])
                 state.prev_denoised = shrunk
-            stdct.overlap_add_block(out, stdct.dct_inverse(denoised), grid, window, start)
+            synthesized = stdct.dct_inverse(denoised[keep])
+            stdct.overlap_add_block(out, synthesized, grid, window, start)
     stdct.overlap_normalize(out, grid, window)
     return out[..., : x.shape[-1]], speech_frames, grid.num_frames
 
@@ -185,5 +193,5 @@ def denoise_file(in_path, out_path, config: DenoiserConfig) -> DenoiseSummary:
     out, speech_frames, num_frames = _run(buf.samples[None], config, [config.kind])
     write_wav(out_path, AudioBuffer(out[0, 0], buf.sample_rate))
     return DenoiseSummary(
-        frames=num_frames, speech_fraction=float(speech_frames[0, 0] / num_frames)
+        frames=num_frames, speech_fraction=float(speech_frames[0] / num_frames)
     )

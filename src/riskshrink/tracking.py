@@ -1,12 +1,14 @@
 """Per-bin noise-variance tracking with a likelihood-ratio VAD gate and the
 recursive inverse a-posteriori SNR estimate.
 
-One call of :func:`step` advances the tracker by one frame.  State arrays
-carry any number of leading axes, one row of ``bins`` per stream, and every
-stream keeps its own VAD decision, hangover and noise floor; a frame
-broadcasts against them, so streams that share their input (one noisy signal
-denoised with several gains) pass it once.  A single stream's frames are
-strictly sequential since each frame's estimate depends on the previous one.
+One call of :func:`step` advances the tracker by one frame.  The VAD, its
+hangover and the noise floor belong to the input: state arrays carry any
+number of leading input axes, one row of ``bins`` per input, and every gain
+applied to that input shares them.  Only the inverse-SNR recursion runs per
+gain, on a leading kinds axis of ``prev_denoised`` whose first row, the mse
+(Wiener) estimate, primes the VAD.  So no gain can hide speech from the VAD
+that sets its own floor.  An input's frames are strictly sequential since
+each frame's estimate depends on the previous one.
 """
 
 from dataclasses import dataclass
@@ -22,13 +24,14 @@ _GAMMA_CAP = 1e6
 
 @dataclass
 class TrackerState:
-    """Per-stream tracker state, updated in place by :func:`step`.
+    """Tracker state, updated in place by :func:`step`.
 
-    ``noise_var`` and ``prev_denoised`` have shape ``(..., bins)``; ``hang``
-    holds the hangover frames left per stream.  ``prev_noisy_sq`` is the
+    ``noise_var`` has shape ``(..., bins)``, one row per input; ``hang``
+    holds the hangover frames left per input.  ``prev_noisy_sq`` is the
     previous frame's squared coefficients (any shape broadcasting against
-    ``noise_var``).  The caller stores each frame's denoised coefficients in
-    ``prev_denoised`` before the next step.
+    ``noise_var``).  ``prev_denoised`` has shape ``(kinds, ..., bins)``: the
+    caller stores each frame's denoised coefficients there, one row per gain
+    with the mse estimate first, before the next step.
     """
 
     noise_var: np.ndarray
@@ -42,7 +45,9 @@ def initialize(first_frames: np.ndarray) -> TrackerState:
     """Build initial state from leading frames assumed to contain only noise.
 
     ``first_frames`` has shape ``(..., frames, bins)``; the per-bin variance
-    of each stream is the average squared coefficient over all its frames.
+    of each input is the average squared coefficient over all its frames.
+    ``prev_denoised`` starts as one zero row, for one kind; a caller that
+    steps several kinds replaces it with one zero row per kind.
     """
     frames = np.atleast_2d(np.asarray(first_frames, dtype=np.float64))
     if frames.shape[-2] == 0:
@@ -50,26 +55,27 @@ def initialize(first_frames: np.ndarray) -> TrackerState:
     noise_var = np.mean(frames**2, axis=-2)
     return TrackerState(
         noise_var=noise_var,
-        prev_denoised=np.zeros_like(noise_var),
+        prev_denoised=np.zeros((1,) + noise_var.shape),
         prev_noisy_sq=np.zeros(noise_var.shape[-1]),
         hang=np.zeros(noise_var.shape[:-1], dtype=np.int64),
     )
 
 
 def vad(x_sq: np.ndarray, state: TrackerState) -> np.ndarray:
-    """Average per-bin log-likelihood ratio of speech presence, per stream.
+    """Average per-bin log-likelihood ratio of speech presence, per input.
 
     ``x_sq`` is the frame's squared coefficients.  Per bin the term is
     ``gamma * rho / (1 + rho) - log(1 + rho)`` with ``gamma`` the
     a-posteriori SNR and ``rho`` a decision-directed prior SNR blending the
-    previous denoised frame with the current observation.
+    previous mse estimate (row 0 of ``prev_denoised``) with the current
+    observation.
     """
     nv = state.noise_var
     live = nv > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = np.where(live, x_sq / nv, np.where(x_sq > 0.0, _GAMMA_CAP, 0.0))
         gamma = np.minimum(gamma, _GAMMA_CAP)
-        dd = np.where(live, _DD_WEIGHT * state.prev_denoised**2 / nv, 0.0)
+        dd = np.where(live, _DD_WEIGHT * state.prev_denoised[0] ** 2 / nv, 0.0)
     rho = np.minimum(dd + (1.0 - _DD_WEIGHT) * np.maximum(gamma - 1.0, 0.0), _GAMMA_CAP)
     return np.mean(gamma * rho / (1.0 + rho) - np.log1p(rho), axis=-1)
 
@@ -77,7 +83,7 @@ def vad(x_sq: np.ndarray, state: TrackerState) -> np.ndarray:
 def update_noise(
     x_sq: np.ndarray, speech: np.ndarray, state: TrackerState, eta: float
 ) -> None:
-    """Exponential noise-variance update in place, frozen in speech streams."""
+    """Exponential noise-variance update in place, frozen in speech inputs."""
     blended = eta * state.noise_var + (1.0 - eta) * x_sq
     np.copyto(state.noise_var, blended, where=~speech[..., None])
 
@@ -93,9 +99,10 @@ def step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance the tracker by one frame; return ``(inv_xi, speech)``.
 
-    A stream counts as speech when its VAD statistic exceeds ``threshold``
-    or for ``hangover`` frames after one that did; its noise variance
-    updates only otherwise.  Then, with the updated variance,
+    ``speech`` has one flag per input and ``inv_xi`` one row per kind of
+    ``prev_denoised``.  An input counts as speech when its VAD statistic
+    exceeds ``threshold`` or for ``hangover`` frames after one that did; its
+    noise variance updates only otherwise.  Then, with the updated variance,
     ``1/xi = b * noise_var/X**2 + (1-b) * max(1 - S_prev**2/X_prev**2, 0)``
     with ``b = beta``, except ``b = 1`` on the very first frame, which has no
     previous one.  Bins with ``X = 0`` get an infinite inverse SNR, which

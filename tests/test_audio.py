@@ -76,6 +76,14 @@ def test_garbage_file_rejected(tmp_path):
         read_wav(path)
 
 
+def test_data_ending_mid_sample_rejected(tmp_path):
+    path = tmp_path / "cut.wav"
+    _write_raw(path, [1, 2, 3])
+    path.write_bytes(path.read_bytes()[:-1])  # the last sample loses a byte
+    with pytest.raises(WavFormatError, match=r"cut\.wav.*ends mid-sample"):
+        read_wav(path)
+
+
 def test_clipping_on_write(tmp_path):
     path = tmp_path / "clip.wav"
     write_wav(path, AudioBuffer(np.array([1.5, -1.5]), 8000))
