@@ -15,7 +15,7 @@ from .risklab import (
     oracle_argmin,
     risk_estimate,
     sample_truncated_gaussian,
-    unbiasedness_report,
+    unbiasedness_check,
 )
 from .shrinkage import BACKEND, ShrinkageKind, gain, gain_array
 
@@ -46,6 +46,6 @@ __all__ = [
     "risk_estimate",
     "sample_truncated_gaussian",
     "segmental_snr_db",
-    "unbiasedness_report",
+    "unbiasedness_check",
     "write_wav",
 ]

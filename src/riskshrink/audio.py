@@ -43,9 +43,15 @@ def read_wav(path) -> AudioBuffer:
         if reader.getcomptype() != "NONE":
             raise WavFormatError(f"{path}: compressed WAV is not supported")
         rate = reader.getframerate()
-        raw = reader.readframes(reader.getnframes())
+        declared = reader.getnframes()
+        raw = reader.readframes(declared)
     if len(raw) % 2:
         raise WavFormatError(f"{path}: truncated file, the data ends mid-sample")
+    if len(raw) // 2 < declared:
+        raise WavFormatError(
+            f"{path}: truncated file, the data holds {len(raw) // 2} of the "
+            f"{declared} samples the header declares"
+        )
     ints = np.frombuffer(raw, dtype="<i2")
     return AudioBuffer(samples=ints.astype(np.float64) / _FULL_SCALE, sample_rate=rate)
 

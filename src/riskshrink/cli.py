@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
 
@@ -93,6 +94,17 @@ def _build_config(args: argparse.Namespace) -> DenoiserConfig:
     return DenoiserConfig(**merged)
 
 
+def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
+    """Write the table to the CSV file ``path`` and say so on stdout, or write
+    it to stdout itself when ``path`` is None."""
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    if path is not None:
+        print(f"wrote {len(rows)} rows to {path}")
+
+
 def _cmd_denoise(args, parser) -> int:
     try:
         config = _build_config(args)
@@ -149,11 +161,7 @@ def _cmd_evaluate(args, parser) -> int:
                 + [str(len(seeds))]
             )
     header = ["file", "kind", "alpha", "snr_db"] + metrics + ["seeds"]
-    with open(args.out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {args.out_csv}")
+    _write_csv(args.out_csv, header, rows)
     return 0
 
 
@@ -172,22 +180,13 @@ def _cmd_curves(args, parser) -> int:
     xi = np.array([10.0 ** (v / 10.0) for v in xi_db])
     columns = [gain_array(k, xi, args.alpha) for k in ShrinkageKind]
     rows = [[f"{v:.4f}"] + [f"{g:.9f}" for g in gs] for v, *gs in zip(xi_db, *columns)]
-    if args.out_csv:
-        with open(args.out_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        print(f"wrote {len(rows)} rows to {args.out_csv}")
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_csv(args.out_csv or None, header, rows)
     return 0
 
 
 def _cmd_verify(args, parser) -> int:
-    if args.samples <= 0:
-        parser.error("--samples must be positive")
+    if args.samples < 2:
+        parser.error("--samples must be at least 2")
     if args.seed < 0:
         parser.error("--seed must be non-negative")
     if not 0.0 < args.grid_step <= 0.5:

@@ -4,8 +4,10 @@ Everything the closed-form gains rely on is checked here by independent
 numerics: truncated-Gaussian sampling, one Stein-type identity check of
 order 0 to 4 under truncation (order 0 is the first-order identity), the
 per-measure risk estimates, brute-force grid minimization standing in for the
-constrained-optimality algebra, and Monte Carlo comparison of the true
-distortions with their estimates.
+constrained-optimality algebra, Monte Carlo comparison of the true
+distortions with their estimates, and the high-SNR sure event.  Each check
+returns its own ``CheckResult`` (name, both sides and the tolerance that
+decides it); ``verification_suite`` only composes them.
 
 All randomness flows through explicit integer seeds (numpy ``PCG64``
 generators, whose streams are platform-independent for a given numpy
@@ -51,13 +53,6 @@ class TruncatedGaussianSpec:
         phi_c = math.exp(-0.5 * self.c * self.c) / math.sqrt(2.0 * math.pi)
         return self.sigma**2 * (1.0 - 2.0 * self.c * phi_c / self.normalizer)
 
-    def pdf(self, w):
-        w = np.asarray(w, dtype=np.float64)
-        dens = np.exp(-0.5 * (w / self.sigma) ** 2) / (
-            math.sqrt(2.0 * math.pi) * self.sigma * self.normalizer
-        )
-        return np.where(np.abs(w) < self.bound, dens, 0.0)
-
 
 @dataclass(frozen=True)
 class SyntheticScene:
@@ -90,15 +85,6 @@ class CheckResult:
         return abs(self.lhs - self.rhs) <= self.tol
 
 
-@dataclass(frozen=True)
-class UnbiasednessReport:
-    """MC means of the true distortion and of its estimate over shared draws."""
-
-    mean_true: float
-    mean_estimate: float
-    mc_stderr: float
-
-
 def sample_truncated_gaussian(
     spec: TruncatedGaussianSpec, count: int, seed: int
 ) -> np.ndarray:
@@ -121,6 +107,12 @@ def sample_truncated_gaussian(
         out[filled : filled + take] = kept[:take]
         filled += take
     return out
+
+
+def _require_two_samples(n_samples: int) -> None:
+    """A check's tolerance needs the standard error, undefined for one draw."""
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +167,7 @@ def generalized_stein_check(
     """
     if n not in (0, 1, 2, 3, 4):
         raise ValueError(f"order n must be in 0..4, got {n}")
+    _require_two_samples(n_samples)
     f, fprime = _stein_pair(f_id, spec)
     w = sample_truncated_gaussian(spec, n_samples, seed)
     fw = f(w)
@@ -319,57 +312,52 @@ def _distortion(kind: ShrinkageKind, a: float, clean: float, x: np.ndarray):
     raise ValueError(f"unknown kind {kind}")
 
 
-def _require_scene(kind: ShrinkageKind, scene: SyntheticScene) -> None:
-    if kind is not ShrinkageKind.MSE and not scene.high_snr:
-        raise ValueError(
-            f"{kind.value} requires a high-SNR scene "
-            f"(|clean| > 2*c*sigma = {2.0 * scene.spec.bound:g})"
-        )
-
-
-def unbiasedness_report(
+def unbiasedness_check(
     kind: ShrinkageKind,
     a: float,
     scene: SyntheticScene,
     n_samples: int,
     seed: int,
-) -> UnbiasednessReport:
-    """Compare the true distortion and its estimate over shared noise draws.
+) -> CheckResult:
+    """MC mean of the true distortion (``lhs``) against that of its estimate
+    (``rhs``) over shared noise draws.
 
-    ``mc_stderr`` is the standard error of the per-draw difference, the right
-    scale for judging whether the two means agree.
+    The tolerance is three standard errors of the per-draw difference plus,
+    for squared error, the ``exp(-c**2)`` truncation allowance and, for the
+    series-based measures, a 1% relative band for the fourth-order series cut.
     """
-    _require_scene(kind, scene)
+    if kind is not ShrinkageKind.MSE and not scene.high_snr:
+        raise ValueError(
+            f"{kind.value} requires a high-SNR scene "
+            f"(|clean| > 2*c*sigma = {2.0 * scene.spec.bound:g})"
+        )
+    _require_two_samples(n_samples)
     w = sample_truncated_gaussian(scene.spec, n_samples, seed)
     x = scene.clean + w
     d = _distortion(kind, a, scene.clean, x)
     est = risk_estimate(kind, a, x, scene.spec.sigma, clean=scene.clean)
     stderr = float(np.std(d - est, ddof=1) / math.sqrt(n_samples))
-    return UnbiasednessReport(
-        mean_true=float(np.mean(d)),
-        mean_estimate=float(np.mean(est)),
-        mc_stderr=stderr,
+    mean_true = float(np.mean(d))
+    if kind is ShrinkageKind.MSE:
+        tol = 3.0 * stderr + math.exp(-scene.spec.c * scene.spec.c)
+    else:
+        tol = 0.01 * abs(mean_true) + 3.0 * stderr
+    return CheckResult(
+        f"unbiased:{kind.value}:S={scene.clean:g}:a={a:g}",
+        mean_true,
+        float(np.mean(est)),
+        tol,
     )
 
 
-def unbiasedness_tolerance(
-    kind: ShrinkageKind, report: UnbiasednessReport, c: float
-) -> float:
-    """Acceptance band for an unbiasedness comparison.
-
-    The squared-error estimate is exact up to the truncation allowance; the
-    series-based measures additionally carry a 1% relative band for the
-    fourth-order series cut.
-    """
-    if kind is ShrinkageKind.MSE:
-        return 3.0 * report.mc_stderr + math.exp(-c * c)
-    return 0.01 * abs(report.mean_true) + 3.0 * report.mc_stderr
-
-
-def high_snr_event_check(scene: SyntheticScene, n_samples: int, seed: int) -> float:
-    """Empirical probability of ``|W| < |X|``; exactly 1.0 on high-SNR scenes."""
+def high_snr_event_check(
+    scene: SyntheticScene, n_samples: int, seed: int
+) -> CheckResult:
+    """Empirical probability of ``|W| < |X|``, claimed exactly 1.0 on
+    high-SNR scenes."""
     w = sample_truncated_gaussian(scene.spec, n_samples, seed)
-    return float(np.mean(np.abs(w) < np.abs(scene.clean + w)))
+    fraction = float(np.mean(np.abs(w) < np.abs(scene.clean + w)))
+    return CheckResult("event:high_snr", fraction, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +384,7 @@ def verification_suite(
     n_samples: int = 1_000_000, seed: int = 0, grid_step: float = 1e-4
 ) -> list[CheckResult]:
     """Run every numerical claim check and return one result row per check."""
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
+    _require_two_samples(n_samples)
     rows: list[CheckResult] = []
     c = 5.0
     sub = seed
@@ -448,24 +435,12 @@ def verification_suite(
         for s_mult, a in ((25.0, 0.7), (50.0, 0.95)):
             sub += 1
             scene = SyntheticScene(clean=s_mult, spec=spec1)
-            rep = unbiasedness_report(kind, a, scene, n_samples, sub)
-            rows.append(
-                CheckResult(
-                    f"unbiased:{kind.value}:S={s_mult:g}:a={a:g}",
-                    rep.mean_true,
-                    rep.mean_estimate,
-                    unbiasedness_tolerance(kind, rep, c),
-                )
-            )
+            rows.append(unbiasedness_check(kind, a, scene, n_samples, sub))
 
     # sure-event probability under high SNR
     sub += 1
     scene = SyntheticScene(clean=11.0, spec=spec1)
-    rows.append(
-        CheckResult(
-            "event:high_snr", high_snr_event_check(scene, n_samples, sub), 1.0, 0.0
-        )
-    )
+    rows.append(high_snr_event_check(scene, n_samples, sub))
 
     # gain point values and asymptotes
     for kind in ShrinkageKind:

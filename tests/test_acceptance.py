@@ -22,8 +22,7 @@ from riskshrink.risklab import (
     generalized_stein_check,
     high_snr_event_check,
     oracle_argmin,
-    unbiasedness_report,
-    unbiasedness_tolerance,
+    unbiasedness_check,
 )
 from riskshrink.shrinkage import ShrinkageKind, gain
 from riskshrink.stdct import (
@@ -104,9 +103,7 @@ def test_unbiasedness():
         for s_value, a in ((25.0, 0.7), (50.0, 0.95)):
             seed += 1
             scene = SyntheticScene(clean=s_value, spec=spec)
-            rep = unbiasedness_report(kind, a, scene, N_SAMPLES, seed)
-            tol = unbiasedness_tolerance(kind, rep, C_TRUNC)
-            if abs(rep.mean_true - rep.mean_estimate) > tol:
+            if not unbiasedness_check(kind, a, scene, N_SAMPLES, seed).passed:
                 failures.append((kind.value, s_value, a))
     elapsed = time.perf_counter() - t0
     _criterion(
@@ -140,8 +137,8 @@ def test_sure_event_probability():
     """With |S| > 2*c*sigma the event |W| < |X| has empirical probability 1."""
     spec = TruncatedGaussianSpec(sigma=1.0, c=C_TRUNC)
     scene = SyntheticScene(clean=11.0, spec=spec)
-    frac = high_snr_event_check(scene, N_SAMPLES, seed=77)
-    _criterion("high-snr-event", frac == 1.0, f"fraction={frac!r}")
+    res = high_snr_event_check(scene, N_SAMPLES, seed=77)
+    _criterion("high-snr-event", res.passed, f"fraction={res.lhs!r}")
 
 
 def test_dsp_roundtrip():

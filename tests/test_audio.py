@@ -76,11 +76,17 @@ def test_garbage_file_rejected(tmp_path):
         read_wav(path)
 
 
-def test_data_ending_mid_sample_rejected(tmp_path):
+@pytest.mark.parametrize(
+    "dropped, message",
+    [(1, "ends mid-sample"), (2, "holds 2 of the 3 samples")],
+    ids=["1", "2"],
+)
+def test_data_ending_mid_sample_rejected(tmp_path, dropped, message):
+    # one byte cuts the last sample in half; two remove it whole
     path = tmp_path / "cut.wav"
     _write_raw(path, [1, 2, 3])
-    path.write_bytes(path.read_bytes()[:-1])  # the last sample loses a byte
-    with pytest.raises(WavFormatError, match=r"cut\.wav.*ends mid-sample"):
+    path.write_bytes(path.read_bytes()[:-dropped])
+    with pytest.raises(WavFormatError, match=rf"cut\.wav.*{message}"):
         read_wav(path)
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 from dataclasses import fields
 
@@ -344,6 +345,10 @@ def test_verify_small_run_passes(capsys):
     assert rc == 0
     assert "0 failed" in out
     assert "PASS" in out
+    # the whole report, pinned with numpy 2.4.6 and scipy 1.17.1
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "88ff247425afe13f2ce415e38e3d9ac6ef9e1cad2451907f1cb08587162e00a6"
+    )
 
 
 def test_verify_coarse_grid_still_passes(capsys):
@@ -352,10 +357,13 @@ def test_verify_coarse_grid_still_passes(capsys):
     assert rc == 0
 
 
-def test_verify_zero_samples_is_usage_error():
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_verify_zero_samples_is_usage_error(samples, capsys):
+    # one draw has no standard error, so no tolerance could be formed
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "--samples", "0"])
+        main(["verify", "--samples", samples])
     assert exc.value.code == 2
+    assert "--samples must be at least 2" in capsys.readouterr().err
 
 
 def test_verify_reports_failure_with_exit_one(monkeypatch, capsys):

@@ -14,8 +14,7 @@ from riskshrink.risklab import (
     oracle_argmin,
     risk_estimate,
     sample_truncated_gaussian,
-    unbiasedness_report,
-    unbiasedness_tolerance,
+    unbiasedness_check,
     verification_suite,
 )
 from riskshrink.shrinkage import ShrinkageKind
@@ -37,7 +36,10 @@ def test_spec_validation():
 
 def test_density_integrates_to_one():
     for spec in (SPEC1, TruncatedGaussianSpec(sigma=2.0, c=1.5)):
-        mass, _ = quad(lambda w: float(spec.pdf(w)), -spec.bound, spec.bound)
+        scale = math.sqrt(2.0 * math.pi) * spec.sigma * spec.normalizer
+        mass, _ = quad(
+            lambda w: math.exp(-0.5 * (w / spec.sigma) ** 2) / scale, -spec.bound, spec.bound
+        )
         assert mass == pytest.approx(1.0, abs=1e-9)
     assert 0.0 < SPEC1.normalizer <= 1.0
 
@@ -248,51 +250,68 @@ def test_scene_validation_and_flag():
 
 def test_true_risk_mse_analytic():
     scene = SyntheticScene(clean=10.0, spec=SPEC1)
-    mc = unbiasedness_report(ShrinkageKind.MSE, 0.5, scene, 1_000_000, seed=12).mean_true
+    mc = unbiasedness_check(ShrinkageKind.MSE, 0.5, scene, 1_000_000, seed=12).lhs
     expected = 25.0 + 0.25 * SPEC1.variance
     assert mc == pytest.approx(expected, abs=0.05)
 
 
 def test_true_risk_mse_unit_gain_is_noise_power():
     scene = SyntheticScene(clean=10.0, spec=SPEC1)
-    mc = unbiasedness_report(ShrinkageKind.MSE, 1.0, scene, 200_000, seed=13).mean_true
+    mc = unbiasedness_check(ShrinkageKind.MSE, 1.0, scene, 200_000, seed=13).lhs
     assert mc == pytest.approx(SPEC1.variance, abs=0.02)
 
 
 def test_true_risk_is_taylor_limit():
     scene = SyntheticScene(clean=100.0, spec=SPEC1)
-    mc = unbiasedness_report(ShrinkageKind.IS, 1.0, scene, 200_000, seed=14).mean_true
+    mc = unbiasedness_check(ShrinkageKind.IS, 1.0, scene, 200_000, seed=14).lhs
     assert mc == pytest.approx(SPEC1.variance / (2.0 * 100.0**2), rel=0.05)
 
 
 def test_true_risk_requires_high_snr_for_series_kinds():
     low = SyntheticScene(clean=5.0, spec=SPEC1)
     with pytest.raises(ValueError):
-        unbiasedness_report(ShrinkageKind.WE, 0.5, low, 100, seed=0)
+        unbiasedness_check(ShrinkageKind.WE, 0.5, low, 100, seed=0)
     # squared error has no such requirement
-    unbiasedness_report(ShrinkageKind.MSE, 0.5, low, 100, seed=0)
+    unbiasedness_check(ShrinkageKind.MSE, 0.5, low, 100, seed=0)
 
 
 def test_unbiasedness_mse_example():
     # the squared-error estimate is exact up to truncation leakage, even on a
     # boundary scene
     scene = SyntheticScene(clean=10.0, spec=SPEC1)
-    rep = unbiasedness_report(ShrinkageKind.MSE, 0.7, scene, 1_000_000, seed=15)
-    tol = unbiasedness_tolerance(ShrinkageKind.MSE, rep, SPEC1.c)
-    assert abs(rep.mean_true - rep.mean_estimate) <= tol
+    assert unbiasedness_check(ShrinkageKind.MSE, 0.7, scene, 1_000_000, seed=15).passed
 
 
 def test_unbiasedness_we_example():
     scene = SyntheticScene(clean=50.0, spec=SPEC1)
-    rep = unbiasedness_report(ShrinkageKind.WE, 0.9, scene, 500_000, seed=16)
-    assert abs(rep.mean_true - rep.mean_estimate) <= 0.01 * abs(rep.mean_true) + 3 * rep.mc_stderr
+    res = unbiasedness_check(ShrinkageKind.WE, 0.9, scene, 500_000, seed=16)
+    assert res.name == "unbiased:we:S=50:a=0.9"
+    assert res.passed
+    # at zero gain every draw has the same distortion and estimate, so the MC
+    # standard error is 0 and each band is its fixed part alone
+    mse = unbiasedness_check(ShrinkageKind.MSE, 0.0, scene, 1000, seed=16)
+    assert mse.tol == math.exp(-SPEC1.c**2)
+    we = unbiasedness_check(ShrinkageKind.WE, 0.0, scene, 1000, seed=16)
+    assert we.tol == 0.01 * abs(we.lhs)
 
 
 def test_unbiasedness_degenerate_zero_gain():
     scene = SyntheticScene(clean=10.0, spec=SPEC1)
-    rep = unbiasedness_report(ShrinkageKind.MSE, 0.0, scene, 1000, seed=17)
-    assert rep.mean_true == rep.mean_estimate == pytest.approx(100.0, rel=1e-12)
-    assert rep.mc_stderr == 0.0
+    res = unbiasedness_check(ShrinkageKind.MSE, 0.0, scene, 1000, seed=17)
+    assert res.lhs == res.rhs == pytest.approx(100.0, rel=1e-12)
+    assert res.tol == math.exp(-SPEC1.c**2)  # no MC error on top of the allowance
+
+
+def test_one_draw_is_rejected():
+    # the tolerances need a standard error, which one draw does not have
+    scene = SyntheticScene(clean=25.0, spec=SPEC1)
+    for check in (
+        lambda: verification_suite(n_samples=1),
+        lambda: generalized_stein_check("linear", 0, SPEC1, 1, seed=0),
+        lambda: unbiasedness_check(ShrinkageKind.MSE, 0.5, scene, 1, seed=0),
+    ):
+        with pytest.raises(ValueError, match="at least 2"):
+            check()
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +321,18 @@ def test_unbiasedness_degenerate_zero_gain():
 
 def test_event_probability_one_above_threshold():
     scene = SyntheticScene(clean=11.0, spec=SPEC1)
-    assert high_snr_event_check(scene, 100_000, seed=18) == 1.0
+    res = high_snr_event_check(scene, 100_000, seed=18)
+    assert (res.name, res.lhs, res.rhs, res.tol) == ("event:high_snr", 1.0, 1.0, 0.0)
 
 
 def test_event_probability_below_threshold():
     scene = SyntheticScene(clean=0.1, spec=SPEC1)
-    assert high_snr_event_check(scene, 100_000, seed=19) < 1.0
+    assert high_snr_event_check(scene, 100_000, seed=19).lhs < 1.0
 
 
 def test_event_probability_at_boundary():
     scene = SyntheticScene(clean=10.0, spec=SPEC1)  # exactly 2*c*sigma
-    assert high_snr_event_check(scene, 100_000, seed=20) == 1.0
+    assert high_snr_event_check(scene, 100_000, seed=20).lhs == 1.0
 
 
 # ---------------------------------------------------------------------------
