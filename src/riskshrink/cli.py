@@ -118,6 +118,8 @@ def _cmd_denoise(args, parser) -> int:
                 "out": args.out_path,
                 "kind": config.kind.value,
                 "alpha": config.alpha,
+                "frame_len": summary.frame_len,
+                "hop": summary.hop,
                 "frames": summary.frames,
                 "speech_percent": round(100.0 * summary.speech_fraction, 2),
             }

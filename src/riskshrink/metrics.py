@@ -41,7 +41,7 @@ def global_snr_db(clean: np.ndarray, test: np.ndarray) -> float:
     return min(10.0 * np.log10(p_signal / p_error), SNR_CAP_DB)
 
 
-def segmental_snr_db(clean: np.ndarray, test: np.ndarray, seg_len: int = 320) -> float:
+def segmental_snr_db(clean: np.ndarray, test: np.ndarray, seg_len: int) -> float:
     """Mean of per-segment SNRs, each clamped to ``[SEG_FLOOR_DB, SEG_CEIL_DB]``.
 
     Only complete segments with nonzero clean energy contribute.
@@ -67,7 +67,7 @@ def segmental_snr_db(clean: np.ndarray, test: np.ndarray, seg_len: int = 320) ->
 
 
 def gain_report(
-    clean: np.ndarray, noisy: np.ndarray, denoised: np.ndarray, seg_len: int = 320
+    clean: np.ndarray, noisy: np.ndarray, denoised: np.ndarray, seg_len: int
 ) -> GainReport:
     """SNR/SSNR before and after denoising; gains are exact differences."""
     input_snr = global_snr_db(clean, noisy)

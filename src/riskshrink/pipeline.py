@@ -26,7 +26,8 @@ from .shrinkage import ShrinkageKind, gain_array
 @dataclass(frozen=True)
 class DenoiserConfig:
     """Every tunable of the denoiser; defaults follow the standard operating
-    point (40 ms frames, 75% overlap, smoothing constants 0.98, alpha 1.75)."""
+    point (40 ms frames, 75% overlap, smoothing constants 0.98, alpha 1.75).
+    ``frame_len`` and ``hop`` are those rounded to whole samples, at any rate."""
 
     sample_rate: int = 8000
     frame_ms: float = 40.0
@@ -44,22 +45,18 @@ class DenoiserConfig:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if not 0 < self.frame_ms < np.inf:
             raise ValueError(f"frame_ms must be positive and finite, got {self.frame_ms}")
-        raw_len = self.sample_rate * self.frame_ms / 1000.0
-        if abs(raw_len - round(raw_len)) > 1e-9 or round(raw_len) < 1:
-            raise ValueError(
-                f"frame_ms={self.frame_ms} at {self.sample_rate} Hz is not a whole "
-                f"number of samples"
-            )
         if not 0.0 <= self.overlap_fraction < 1.0:
             raise ValueError(
                 f"overlap_fraction must be in [0, 1), got {self.overlap_fraction}"
             )
-        raw_hop = round(raw_len) * (1.0 - self.overlap_fraction)
-        if abs(raw_hop - round(raw_hop)) > 1e-9 or round(raw_hop) < 1:
+        # Rounding to whole samples is safe: overlap-add reconstructs with any hop.
+        n = self.sample_rate * self.frame_ms / 1000.0  # inf cannot be rounded
+        frame_len, hop = (self.frame_len, self.hop) if n < np.inf else (n, n)
+        if not 1 <= hop < np.inf:
             raise ValueError(
-                f"sample_rate={self.sample_rate} with frame_ms={self.frame_ms} gives "
-                f"{round(raw_len)}-sample frames, and a hop of {raw_hop:g} samples "
-                f"(overlap_fraction={self.overlap_fraction}), which is not a whole number"
+                f"frame_ms={self.frame_ms} and overlap_fraction={self.overlap_fraction} "
+                f"at {self.sample_rate} Hz give frame_len={frame_len} and hop={hop} "
+                f"samples; frames must be finite and the hop at least 1 sample"
             )
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
@@ -87,9 +84,11 @@ class DenoiserConfig:
 
 @dataclass(frozen=True)
 class DenoiseSummary:
-    """Per-file run record; ``speech_fraction`` counts hangover-extended
-    speech decisions, which depend on the input alone, not on the kind."""
+    """Per-file run record; ``frame_len`` and ``hop`` are in samples at the file's
+    rate, and ``speech_fraction`` (hangover included) does not depend on the kind."""
 
+    frame_len: int
+    hop: int
     frames: int
     speech_fraction: float
 
@@ -182,16 +181,11 @@ def denoise(noisy: np.ndarray, config: DenoiserConfig) -> np.ndarray:
 
 
 def denoise_file(in_path, out_path, config: DenoiserConfig) -> DenoiseSummary:
-    """Read a WAV file, denoise it, and write the result.
-
-    The file's sample rate wins over ``config.sample_rate``; frame geometry is
-    re-derived from it (and re-validated).
-    """
+    """Read a WAV file, denoise it at the file's sample rate, and write the result."""
     buf = read_wav(in_path)
-    if buf.sample_rate != config.sample_rate:
-        config = replace(config, sample_rate=buf.sample_rate)
+    config = replace(config, sample_rate=buf.sample_rate)
     out, speech_frames, num_frames = _run(buf.samples[None], config, [config.kind])
     write_wav(out_path, AudioBuffer(out[0, 0], buf.sample_rate))
     return DenoiseSummary(
-        frames=num_frames, speech_fraction=float(speech_frames[0] / num_frames)
+        config.frame_len, config.hop, num_frames, float(speech_frames[0] / num_frames)
     )

@@ -354,7 +354,9 @@ def high_snr_event_check(
     scene: SyntheticScene, n_samples: int, seed: int
 ) -> CheckResult:
     """Empirical probability of ``|W| < |X|``, claimed exactly 1.0 on
-    high-SNR scenes."""
+    high-SNR scenes.  It has no standard error, so one draw is enough."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     w = sample_truncated_gaussian(scene.spec, n_samples, seed)
     fraction = float(np.mean(np.abs(w) < np.abs(scene.clean + w)))
     return CheckResult("event:high_snr", fraction, 1.0, 0.0)

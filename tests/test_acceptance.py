@@ -200,7 +200,7 @@ def test_end_to_end_gains(tmp_path):
         noisy, _ = mix_at_snr(clean, noise, snr_db, seed_offset=7)
         for kind in ShrinkageKind:
             out = denoise(noisy.samples, DenoiserConfig(kind=kind))
-            rep = gain_report(clean.samples, noisy.samples, out)
+            rep = gain_report(clean.samples, noisy.samples, out, 320)
             if rep.snr_gain_db <= 0.0 or rep.ssnr_gain_db <= 0.0:
                 failures.append((snr_db, kind.value, rep.snr_gain_db, rep.ssnr_gain_db))
             if snr_db in (10.0, 15.0):

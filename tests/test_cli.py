@@ -1,11 +1,14 @@
 import csv
 import hashlib
+import json
 import math
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
-from riskshrink.audio import generate_white_noise, write_wav
+from conftest import make_voiced
+from riskshrink.audio import AudioBuffer, generate_white_noise, read_wav, write_wav
 from riskshrink.cli import _build_config, _build_parser, main
 from riskshrink.pipeline import DenoiserConfig
 from riskshrink.risklab import CheckResult
@@ -210,7 +213,13 @@ def test_unknown_flag_is_usage_error():
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--frame-ms", "inf"), ("--frame-ms", "nan"), ("--vad-threshold", "nan")]
+    "flag, value",
+    [
+        ("--frame-ms", "inf"),
+        ("--frame-ms", "nan"),
+        ("--vad-threshold", "nan"),
+        ("--frame-ms", "1e306"),  # finite, but no finite number of samples
+    ],
 )
 def test_denoise_non_finite_value_is_usage_error(flag, value, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -234,6 +243,33 @@ def test_denoise_valid_run(fixture_wavs, tmp_path, capsys):
     assert rc == 0
     assert dst.exists()
     assert '"kind": "wcosh"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rate, frame_len, hop", [(11025, 441, 110), (22050, 882, 220)])
+def test_denoise_at_rates_with_fractional_hops(rate, frame_len, hop, tmp_path, capsys):
+    clean = make_voiced(rate)
+    noise = generate_white_noise(len(clean), 0.05, seed=41, sample_rate=rate)
+    src, dst = tmp_path / "noisy.wav", tmp_path / "out.wav"
+    write_wav(src, AudioBuffer(clean.samples + noise.samples, rate))
+    assert main(["denoise", "--in", str(src), "--out", str(dst)]) == 0
+    out = read_wav(dst)
+    assert (len(out), out.sample_rate) == (len(clean), rate)
+    assert np.all(np.isfinite(out.samples))
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["frame_len"], summary["hop"]) == (frame_len, hop)
+
+
+def test_evaluate_at_11025_hz(tmp_path):
+    clean, noise = tmp_path / "clean.wav", tmp_path / "noise.wav"
+    write_wav(clean, make_voiced(11025))
+    write_wav(noise, generate_white_noise(4 * 11025, 0.05, seed=42, sample_rate=11025))
+    out = tmp_path / "eval.csv"
+    argv = ["evaluate", "--clean", str(clean), "--noise", str(noise), "--out-csv", str(out)]
+    assert main(argv) == 0
+    header, *data = _read_csv(out)
+    assert len(data) == 21  # 7 kinds x 3 SNRs
+    gain_col = header.index("snr_gain_db")
+    assert all(float(row[gain_col]) > 0.0 for row in data)
 
 
 def test_denoise_config_file_with_flag_override(fixture_wavs, tmp_path, capsys):

@@ -29,12 +29,12 @@ def test_global_snr_validation():
 
 def test_segmental_snr_ceiling():
     clean = np.sin(np.linspace(0, 50, 1600))
-    assert segmental_snr_db(clean, clean.copy()) == pytest.approx(35.0)
+    assert segmental_snr_db(clean, clean.copy(), 320) == pytest.approx(35.0)
 
 
 def test_segmental_snr_zero_db_everywhere():
     clean = np.sin(np.linspace(0, 50, 1600))
-    assert segmental_snr_db(clean, 2.0 * clean) == pytest.approx(0.0, abs=1e-12)
+    assert segmental_snr_db(clean, 2.0 * clean, 320) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_segmental_snr_clamp_then_average():
@@ -59,13 +59,13 @@ def test_segmental_snr_bounds_hold():
     clean = rng.standard_normal(3200)
     wild = clean + 1e6 * rng.standard_normal(3200)
     close = clean + 1e-9 * rng.standard_normal(3200)
-    assert segmental_snr_db(clean, wild) >= -10.0
-    assert segmental_snr_db(clean, close) <= 35.0
+    assert segmental_snr_db(clean, wild, 320) >= -10.0
+    assert segmental_snr_db(clean, close, 320) <= 35.0
 
 
 def test_segmental_snr_validation():
     with pytest.raises(ValueError):
-        segmental_snr_db(np.zeros(640), np.ones(640))
+        segmental_snr_db(np.zeros(640), np.ones(640), 320)
     with pytest.raises(ValueError):
         segmental_snr_db(np.ones(640), np.ones(640), seg_len=0)
 
@@ -74,7 +74,7 @@ def test_gain_report_zero_when_denoised_is_noisy():
     rng = np.random.default_rng(29)
     clean = np.sin(np.linspace(0, 100, 3200))
     noisy = clean + 0.1 * rng.standard_normal(3200)
-    rep = gain_report(clean, noisy, noisy.copy())
+    rep = gain_report(clean, noisy, noisy.copy(), 320)
     assert rep.snr_gain_db == 0.0
     assert rep.ssnr_gain_db == 0.0
 
@@ -83,7 +83,7 @@ def test_gain_report_perfect_denoiser():
     rng = np.random.default_rng(30)
     clean = np.sin(np.linspace(0, 100, 3200))
     noisy = clean + 0.1 * rng.standard_normal(3200)
-    rep = gain_report(clean, noisy, clean.copy())
+    rep = gain_report(clean, noisy, clean.copy(), 320)
     assert rep.output_snr_db == SNR_CAP_DB
     assert rep.output_ssnr_db == pytest.approx(35.0)
     assert rep.snr_gain_db == rep.output_snr_db - rep.input_snr_db

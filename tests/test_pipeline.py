@@ -1,5 +1,4 @@
 import hashlib
-import re
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ def test_config_defaults_give_standard_geometry():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"frame_ms": 40.1},  # 320.8 samples
+        {"frame_ms": 0.1},  # a 1-sample frame with a 0-sample hop
         {"overlap_fraction": 1.0},
         {"overlap_fraction": -0.1},
         {"alpha": 0.0},
@@ -33,6 +32,8 @@ def test_config_defaults_give_standard_geometry():
         {"vad_hangover": -1},
         {"frame_ms": float("inf")},
         {"frame_ms": float("nan")},
+        {"frame_ms": 0.05},  # a 0-sample frame
+        {"frame_ms": 1e306},  # an infinite frame at 8 kHz
         {"vad_threshold": float("nan")},
         {"vad_threshold": float("inf")},
     ],
@@ -42,14 +43,29 @@ def test_config_validation(kwargs):
         DenoiserConfig(**kwargs)
 
 
-@pytest.mark.parametrize("rate, frame, hop", [(11025, 441, "110.25"), (22050, 882, "220.5")])
-def test_fractional_hop_error_names_rate_and_frame(rate, frame, hop):
+@pytest.mark.parametrize(
+    "kwargs, frame_len, hop",
+    [
+        ({"sample_rate": 8000}, 320, 80),
+        ({"sample_rate": 11025}, 441, 110),
+        ({"sample_rate": 22050}, 882, 220),
+        ({"sample_rate": 44100, "frame_ms": 20.0}, 882, 220),
+        ({"sample_rate": 48000}, 1920, 480),
+        ({"sample_rate": 8000, "frame_ms": 40.1}, 321, 80),
+    ],
+)
+def test_geometry_is_rounded_to_whole_samples(kwargs, frame_len, hop):
+    cfg = DenoiserConfig(**kwargs)
+    assert (cfg.frame_len, cfg.hop) == (frame_len, hop)
+
+
+def test_sub_sample_hop_error_names_the_geometry():
     with pytest.raises(
         ValueError,
-        match=rf"sample_rate={rate} with frame_ms=40\.0 gives {frame}-sample frames, "
-        rf"and a hop of {re.escape(hop)} samples",
+        match=r"frame_ms=0\.1 and overlap_fraction=0\.75 at 8000 Hz give "
+        r"frame_len=1 and hop=0 samples",
     ):
-        DenoiserConfig(sample_rate=rate)
+        DenoiserConfig(frame_ms=0.1)
 
 
 def test_zero_input_gives_zero_output():
@@ -330,4 +346,5 @@ def test_denoise_file_adopts_file_sample_rate(tmp_path):
     write_wav(src, AudioBuffer(0.1 * rng.standard_normal(16000), 16000))
     summary = denoise_file(src, dst, DenoiserConfig())  # config says 8000
     assert summary.frames > 0
+    assert (summary.frame_len, summary.hop) == (640, 160)
     assert read_wav(dst).sample_rate == 16000

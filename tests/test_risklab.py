@@ -314,6 +314,14 @@ def test_one_draw_is_rejected():
             check()
 
 
+def test_zero_draws_are_rejected_by_the_event_check():
+    # the event check has no standard error, so one draw is enough
+    scene = SyntheticScene(clean=25.0, spec=SPEC1)
+    assert high_snr_event_check(scene, 1, seed=0).passed
+    with pytest.raises(ValueError, match="at least 1"):
+        high_snr_event_check(scene, 0, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # High-SNR event
 # ---------------------------------------------------------------------------

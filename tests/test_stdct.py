@@ -187,3 +187,15 @@ def test_identity_roundtrip_long_signal():
     y = synthesize(dct_inverse(dct_forward(frame_view(x, grid) * w)), grid, w)
     interior = slice(320, x.shape[0] - 320)
     np.testing.assert_allclose(y[interior], x[interior], rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("frame_len, hop", [(441, 110), (882, 220), (321, 80)])
+def test_identity_roundtrip_with_a_hop_that_does_not_divide_the_frame(frame_len, hop):
+    # the rounded geometries of 11025 Hz, 22050 Hz and 40.1 ms at 8 kHz
+    rng = np.random.default_rng(frame_len)
+    x = rng.standard_normal(12 * frame_len + 7)
+    grid = make_frame_grid(x.shape[0], frame_len, hop)
+    w = hamming_window(frame_len)
+    y = synthesize(dct_inverse(dct_forward(frame_view(x, grid) * w)), grid, w)
+    interior = slice(frame_len, x.shape[0] - frame_len)
+    np.testing.assert_allclose(y[interior], x[interior], rtol=0, atol=1e-9)
