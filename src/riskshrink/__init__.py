@@ -17,7 +17,7 @@ from .risklab import (
     sample_truncated_gaussian,
     unbiasedness_check,
 )
-from .shrinkage import BACKEND, ShrinkageKind, gain, gain_array
+from .shrinkage import BACKEND, ShrinkageKind, gain, gain_array, gain_rows
 
 __version__ = "0.1.0"
 
@@ -36,6 +36,7 @@ __all__ = [
     "denoise_kinds",
     "gain",
     "gain_array",
+    "gain_rows",
     "gain_report",
     "generate_white_noise",
     "global_snr_db",

@@ -167,6 +167,15 @@ def _cmd_evaluate(args, parser) -> int:
     return 0
 
 
+def _db_to_power(v: float) -> float:
+    """``10 ** (v / 10)``; inf above about 3082.5 dB, where a float overflows
+    and every gain is 1."""
+    try:
+        return 10.0 ** (v / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def _cmd_curves(args, parser) -> int:
     try:
         lo, hi, step = (float(v) for v in args.xi_db_range.split(":"))
@@ -179,7 +188,7 @@ def _cmd_curves(args, parser) -> int:
     n = int(np.floor((hi - lo) / step + 0.5)) + 1
     header = ["xi_db"] + [k.value for k in ShrinkageKind]
     xi_db = [lo + i * step for i in range(n)]
-    xi = np.array([10.0 ** (v / 10.0) for v in xi_db])
+    xi = np.array([_db_to_power(v) for v in xi_db])
     columns = [gain_array(k, xi, args.alpha) for k in ShrinkageKind]
     rows = [[f"{v:.4f}"] + [f"{g:.9f}" for g in gs] for v, *gs in zip(xi_db, *columns)]
     _write_csv(args.out_csv or None, header, rows)

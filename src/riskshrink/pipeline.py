@@ -7,11 +7,11 @@ frame, including those leading ones, is denoised in order: one tracker step
 per-bin gain, inverse transform and weighted overlap-add.
 
 Several streams run in lockstep: every input row with every requested gain,
-one tracker step per frame for all of them.  The VAD and the noise floor run
-once per input, primed by the mse (Wiener) estimate, so that gain always runs
-as the first row, and its output is dropped when it was not requested.
-Analysis and synthesis go in blocks of frames, so no buffer of coefficients
-spans the whole signal.
+one tracker step and one gain call per frame for all of them.  The VAD and
+the noise floor run once per input, primed by the mse (Wiener) estimate, so
+that gain always runs as the first row, and its output is dropped when it was
+not requested.  Analysis and synthesis go in blocks of frames, so no buffer of
+coefficients spans the whole signal.
 """
 
 from dataclasses import dataclass, replace
@@ -20,7 +20,10 @@ import numpy as np
 
 from . import stdct, tracking
 from .audio import AudioBuffer, read_wav, write_wav
-from .shrinkage import ShrinkageKind, gain_array
+from .shrinkage import ShrinkageKind, gain_rows
+
+# The tracker counts hangover frames down in int64.
+_MAX_HANGOVER = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -70,8 +73,10 @@ class DenoiserConfig:
             )
         if not np.isfinite(self.vad_threshold):
             raise ValueError(f"vad_threshold must be finite, got {self.vad_threshold}")
-        if self.vad_hangover < 0:
-            raise ValueError(f"vad_hangover must be >= 0, got {self.vad_hangover}")
+        if not 0 <= self.vad_hangover <= _MAX_HANGOVER:
+            raise ValueError(
+                f"vad_hangover must be in [0, {_MAX_HANGOVER}], got {self.vad_hangover}"
+            )
 
     @property
     def frame_len(self) -> int:
@@ -145,11 +150,8 @@ def _run(noisy: np.ndarray, config: DenoiserConfig, kinds):
                     beta=config.beta,
                 )
                 speech_frames += speech
-                xi = 1.0 / inv_xi
                 shrunk = denoised[:, :, j]
-                for k, kind in enumerate(rows):
-                    g = gain_array(kind, xi[k], config.alpha)
-                    np.multiply(g, frame, out=shrunk[k])
+                np.multiply(gain_rows(rows, 1.0 / inv_xi, config.alpha), frame, out=shrunk)
                 state.prev_denoised = shrunk
             synthesized = stdct.dct_inverse(denoised[keep])
             stdct.overlap_add_block(out, synthesized, grid, window, start)

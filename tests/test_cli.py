@@ -63,6 +63,15 @@ def test_curves_row_count_and_values(tmp_path):
     assert all(float(v) > 0.99 for v in last[1:])
 
 
+def test_curves_beyond_float_range_give_unit_gain(capsys):
+    # 10**(3090/10) overflows a float: such a point is xi = inf, gain 1
+    assert main(["curves", "--xi-db-range=3080:3100:10"]) == 0
+    header, *data = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert [r[0] for r in data] == ["3080.0000", "3090.0000", "3100.0000"]
+    for row in data[1:]:
+        assert row[1:] == ["1.000000000"] * len(ShrinkageKind)
+
+
 @pytest.mark.parametrize(
     "xi_db_range",
     [
@@ -226,6 +235,19 @@ def test_denoise_non_finite_value_is_usage_error(flag, value, tmp_path, capsys):
         main(["denoise", "--in", "a.wav", "--out", str(tmp_path / "o.wav"), flag, value])
     assert exc.value.code == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_denoise_huge_vad_hangover_is_usage_error(source, tmp_path, capsys):
+    # the hangover counter is int64: a larger value must not reach it
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("vad_hangover=100000000000000000000\n")
+    extra = (["--vad-hangover", "100000000000000000000"] if source == "flag"
+             else ["--config", str(cfg)])
+    with pytest.raises(SystemExit) as exc:
+        main(["denoise", "--in", "a.wav", "--out", str(tmp_path / "o.wav")] + extra)
+    assert exc.value.code == 2
+    assert "vad_hangover must be in [0, 9223372036854775807]" in capsys.readouterr().err
 
 
 def test_denoise_missing_file_fails_without_output(tmp_path, capsys):

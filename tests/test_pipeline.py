@@ -6,7 +6,7 @@ import pytest
 from conftest import make_voiced
 from riskshrink.audio import generate_white_noise, mix_at_snr, read_wav, write_wav
 from riskshrink.metrics import global_snr_db
-from riskshrink import pipeline, tracking
+from riskshrink import pipeline, shrinkage, stdct, tracking
 from riskshrink.pipeline import DenoiserConfig, denoise, denoise_file, denoise_kinds
 from riskshrink.shrinkage import ShrinkageKind
 
@@ -36,6 +36,7 @@ def test_config_defaults_give_standard_geometry():
         {"frame_ms": 1e306},  # an infinite frame at 8 kHz
         {"vad_threshold": float("nan")},
         {"vad_threshold": float("inf")},
+        {"vad_hangover": 10**20},  # beyond the tracker's int64 counter
     ],
 )
 def test_config_validation(kwargs):
@@ -116,13 +117,30 @@ def test_determinism_bit_identical():
 
 
 def test_unit_gain_hook_reduces_to_roundtrip(monkeypatch):
-    monkeypatch.setattr(pipeline, "gain_array", lambda kind, xi, alpha: np.ones_like(xi))
+    monkeypatch.setattr(pipeline, "gain_rows", lambda kinds, xi, alpha: np.ones_like(xi))
     rng = np.random.default_rng(33)
     x = 0.3 * rng.standard_normal(4000)
     out = denoise(x, DenoiserConfig())
     interior = slice(320, x.shape[0] - 320)
     err = np.max(np.abs(out[interior] - x[interior]))
     assert err / np.max(np.abs(x[interior])) < 1e-6
+
+
+def test_one_gain_call_per_frame_covers_every_stream(monkeypatch):
+    calls = []
+
+    def counted(kinds, xi, alpha):
+        calls.append(xi.shape)
+        return shrinkage.gain_rows(kinds, xi, alpha)
+
+    monkeypatch.setattr(pipeline, "gain_rows", counted)
+    noisy = np.random.default_rng(34).standard_normal((2, 4000))
+    cfg = DenoiserConfig()
+    out = denoise_kinds(noisy, cfg, list(ShrinkageKind))
+    frames = stdct.make_frame_grid(4000, cfg.frame_len, cfg.hop).num_frames
+    assert out.shape == (7, 2, 4000)
+    assert len(calls) == frames
+    assert set(calls) == {(7, 2, cfg.frame_len)}
 
 
 def _lockstep_inputs(n):

@@ -6,7 +6,7 @@ import pytest
 
 import riskshrink
 from riskshrink.risklab import oracle_argmin
-from riskshrink.shrinkage import ShrinkageKind, gain, gain_array
+from riskshrink.shrinkage import ShrinkageKind, gain, gain_array, gain_rows
 
 ALL_KINDS = list(ShrinkageKind)
 
@@ -122,6 +122,58 @@ def test_unknown_kind_rejected(kind):
             gain(kind, xi)
         with pytest.raises(ValueError, match="ShrinkageKind"):
             gain_array(kind, np.array([xi]))
+
+
+# zero, the smallest subnormal, subnormals whose reciprocal overflows, tiny,
+# huge, infinite and NaN
+EDGE_XI = [0.0, 5e-324, 1e-320, 1e-300, 1e300, np.inf, np.nan]
+
+
+@pytest.mark.parametrize(
+    "kinds",
+    [
+        ALL_KINDS,
+        ALL_KINDS[::-1],
+        [ShrinkageKind.WE, ShrinkageKind.COSH, ShrinkageKind.WE],
+        [ShrinkageKind.LOG_MSE],
+    ],
+    ids=["enum-order", "reversed", "repeated", "single"],
+)
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.75])
+def test_gain_rows_row_k_is_gain_array_bitwise(kinds, alpha):
+    rng = np.random.default_rng(6)
+    n = len(kinds)
+    flat = 10.0 ** rng.uniform(-10, 12, size=(n, 500))
+    flat[:, : len(EDGE_XI)] = EDGE_XI
+    stacked = 10.0 ** rng.uniform(-4, 6, size=(n, 3, 40))  # (kinds, inputs, bins)
+    stacked[:, 1, : len(EDGE_XI)] = EDGE_XI
+    for xi in (flat, stacked):
+        g = gain_rows(kinds, xi, alpha)
+        assert g.shape == xi.shape
+        for k, kind in enumerate(kinds):
+            want = gain_array(kind, xi[k], alpha)
+            assert g[k].tobytes() == want.tobytes(), (kind, k)
+
+
+def test_gain_array_keeps_the_shape_of_xi():
+    g = gain_array(ShrinkageKind.WE, 4.0)
+    assert isinstance(g, np.ndarray) and g.shape == ()
+    assert gain_array(ShrinkageKind.WE, np.ones((2, 3))).shape == (2, 3)
+
+
+def test_gain_rows_validation():
+    xi = np.ones((2, 4))
+    kinds = [ShrinkageKind.MSE, ShrinkageKind.IS]
+    with pytest.raises(ValueError, match="kind must be a ShrinkageKind"):
+        gain_rows([ShrinkageKind.MSE, "is"], xi)
+    for alpha in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            gain_rows(kinds, xi, alpha)
+    with pytest.raises(ValueError, match="xi must be nonnegative"):
+        gain_rows(kinds, np.array([[1.0, 2.0], [np.nan, -1.0]]))
+    for rows in (np.ones((3, 4)), np.ones(4)[:1], np.float64(1.0)):
+        with pytest.raises(ValueError, match="rows"):
+            gain_rows(kinds, rows)
 
 
 def test_backend_is_fixed():
