@@ -20,7 +20,13 @@ from . import risklab
 from .audio import WavFormatError, mix_at_snr, read_wav
 from .metrics import GainReport, gain_report
 from .pipeline import DenoiserConfig, denoise_file, denoise_kinds
-from .shrinkage import ShrinkageKind, gain_array
+from .shrinkage import ShrinkageKind, gain_rows
+
+# Bounds on outside input that would otherwise allocate without limit: the
+# points of one curves table (0:100:0.001 is the largest range taken), and the
+# oracle grid step of verify (1e-6 gives each of its 1,400 searches 1e6 points).
+_MAX_CURVE_POINTS = 100_001
+_MIN_GRID_STEP = 1e-6
 
 
 def _parse_kind(text: str) -> ShrinkageKind:
@@ -186,10 +192,15 @@ def _cmd_curves(args, parser) -> int:
         parser.error("--xi-db-range needs finite lo <= hi, 0 < step, finite (hi-lo)/step")
 
     n = int(np.floor((hi - lo) / step + 0.5)) + 1
-    header = ["xi_db"] + [k.value for k in ShrinkageKind]
+    if n > _MAX_CURVE_POINTS:
+        parser.error(
+            f"--xi-db-range gives {n} points, more than the limit of {_MAX_CURVE_POINTS}"
+        )
+    kinds = list(ShrinkageKind)
+    header = ["xi_db"] + [k.value for k in kinds]
     xi_db = [lo + i * step for i in range(n)]
     xi = np.array([_db_to_power(v) for v in xi_db])
-    columns = [gain_array(k, xi, args.alpha) for k in ShrinkageKind]
+    columns = gain_rows(kinds, np.broadcast_to(xi, (len(kinds), n)), args.alpha)
     rows = [[f"{v:.4f}"] + [f"{g:.9f}" for g in gs] for v, *gs in zip(xi_db, *columns)]
     _write_csv(args.out_csv or None, header, rows)
     return 0
@@ -200,8 +211,8 @@ def _cmd_verify(args, parser) -> int:
         parser.error("--samples must be at least 2")
     if args.seed < 0:
         parser.error("--seed must be non-negative")
-    if not 0.0 < args.grid_step <= 0.5:
-        parser.error("--grid-step must be in (0, 0.5]")
+    if not _MIN_GRID_STEP <= args.grid_step <= 0.5:
+        parser.error(f"--grid-step must be in [{_MIN_GRID_STEP:g}, 0.5]")
     rows = risklab.verification_suite(
         n_samples=args.samples, seed=args.seed, grid_step=args.grid_step
     )
@@ -244,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--kinds", default="all", help="comma-separated kinds or 'all'")
     p_eval.add_argument("--out-csv", required=True)
     p_eval.add_argument("--seeds", default="0", help="comma-separated noise-segment seeds")
-    p_eval.add_argument("--alpha", type=_parse_alpha, default=1.75)
+    p_eval.add_argument("--alpha", type=_parse_alpha, default=DenoiserConfig.alpha)
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_cur = subs.add_parser(

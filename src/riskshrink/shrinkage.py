@@ -7,7 +7,7 @@ formula, so ``gain(kind, xi, alpha) == gain(kind, xi / alpha, 1.0)`` exactly.
 
 Each gain is a clamp and a power of one polynomial in ``u = alpha / xi``, one
 entry of ``_GAINS``.  :func:`gain_rows` evaluates a kind per row of a stack;
-:func:`gain_array` (one row) and :func:`gain` (one value) are its special cases.
+:func:`gain` is its one-value case.
 """
 
 import enum
@@ -49,14 +49,9 @@ _GAINS = {
 
 
 def gain(kind: ShrinkageKind, xi: float, alpha: float = 1.0) -> float:
-    """Gain in [0, 1] for one a-posteriori SNR value: :func:`gain_array` on
-    ``xi``, as a Python float."""
-    return float(gain_array(kind, xi, alpha))
-
-
-def gain_array(kind: ShrinkageKind, xi: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    """:func:`gain_rows` on the one row ``xi``, so with the shape of ``xi``."""
-    return gain_rows([kind], [xi], alpha)[0, ...]
+    """Gain in [0, 1] for one a-posteriori SNR value: :func:`gain_rows` on the
+    one row ``[xi]``, as a Python float."""
+    return float(gain_rows([kind], [xi], alpha)[0])
 
 
 def gain_rows(kinds, xi: np.ndarray, alpha: float = 1.0) -> np.ndarray:

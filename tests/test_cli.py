@@ -92,6 +92,19 @@ def test_curves_bad_range_is_usage_error(xi_db_range):
     assert exc.value.code == 2
 
 
+def test_curves_point_limit(tmp_path, capsys):
+    # 0:100:0.001 is the largest range taken; a step just below it is refused
+    # before any point is built
+    out = tmp_path / "curves.csv"
+    assert main(["curves", "--xi-db-range=0:100:0.001", "--out-csv", str(out)]) == 0
+    assert len(_read_csv(out)) == 1 + 100_001
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["curves", "--xi-db-range=0:100:0.00099"])
+    assert exc.value.code == 2
+    assert "101011 points, more than the limit of 100001" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("alpha", ["inf", "nan", "0", "-1", "abc"])
 @pytest.mark.parametrize("command", ["curves", "evaluate"])
 def test_bad_alpha_is_usage_error(command, alpha, tmp_path, capsys):
@@ -422,6 +435,15 @@ def test_verify_zero_samples_is_usage_error(samples, capsys):
         main(["verify", "--samples", samples])
     assert exc.value.code == 2
     assert "--samples must be at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid_step", ["9e-7", "0", "0.6", "nan", "-1"])
+def test_verify_grid_step_out_of_range_is_usage_error(grid_step, capsys):
+    # a step below 1e-6 would make the oracle's grid alone gigabytes long
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--samples", "2", "--grid-step=" + grid_step])
+    assert exc.value.code == 2
+    assert "--grid-step must be in [1e-06, 0.5]" in capsys.readouterr().err
 
 
 def test_verify_reports_failure_with_exit_one(monkeypatch, capsys):

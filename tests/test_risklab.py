@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,12 +153,57 @@ def test_is_estimate_vanishes_at_high_snr():
     assert abs(risk_estimate(ShrinkageKind.IS, 1.0, x, 1.0, clean=x)) < 1e-3
 
 
+# u = sigma**2 / x**2 = 0.01 at x = 10, sigma = 1
+_U = 0.01
+# full estimates (clean = 10) at a = 0.5, x = 10, sigma = 1, each polynomial
+# expanded in powers of u
+FULL_ESTIMATE_AT_HALF = {
+    ShrinkageKind.MSE: 0.25 * 100.0 - 100.0 + 1.0 + 100.0,
+    ShrinkageKind.WE: 0.25 * 10.0 * (1.0 + _U - _U**2 + 48.0 * _U**3 + 360.0 * _U**4)
+    - 10.0 + 10.0,
+    ShrinkageKind.LOG_MSE: math.log(5.0)
+    * (math.log(5.0) - 2.0 * math.log(10.0)
+       - 2.0 * (0.5 * _U - 0.75 * _U**2 - 10.0 * _U**3 - 210.0 * _U**4))
+    + (2.0 * _U - 3.0 * _U**2 + 4.34 * _U**3 - 319.0 * _U**4)
+    + math.log(10.0) ** 2,
+    ShrinkageKind.IS: 0.5 * (1.0 + 60.0 * _U**3 + 840.0 * _U**4) + math.log(2.0) - 1.0,
+    ShrinkageKind.IS_II: 0.25 * (1.0 + _U - 3.0 * _U**2 + 360.0 * _U**3 + 4200.0 * _U**4)
+    + math.log(4.0) - 1.0,
+    ShrinkageKind.COSH: 0.5 * ((1.0 + _U) / 0.5 + 0.5 * (1.0 + 60.0 * _U**3 + 840.0 * _U**4))
+    - 1.0,
+    ShrinkageKind.WCOSH: 0.025 * (1.0 - _U + 3.0 * _U**2 + 420.0 * _U**3 + 8400.0 * _U**4)
+    + 0.1 - 0.1,
+}
+
+
+@pytest.mark.parametrize("kind", list(ShrinkageKind))
+def test_full_estimate_matches_closed_form(kind):
+    value = risk_estimate(kind, 0.5, 10.0, 1.0, clean=10.0)
+    assert value == pytest.approx(FULL_ESTIMATE_AT_HALF[kind], rel=1e-12, abs=0.0)
+
+
 def test_log_singularity_at_zero_gain():
-    for kind in (ShrinkageKind.LOG_MSE, ShrinkageKind.IS, ShrinkageKind.IS_II,
-                  ShrinkageKind.COSH):
-        assert risk_estimate(kind, 0.0, 5.0, 1.0) == math.inf
-    assert risk_estimate(ShrinkageKind.WCOSH, 0.0, 5.0, 1.0) == math.inf
-    assert risk_estimate(ShrinkageKind.WCOSH, 0.0, -5.0, 1.0) == -math.inf
+    # a = 0 is +inf for the log and cosh measures and inf with the sign of x
+    # for wcosh, with or without the signal term; every other gain on the
+    # grid gives a finite value
+    a = np.linspace(0.0, 1.0, 11)
+    for x in (5.0, -5.0):
+        singular = {
+            ShrinkageKind.LOG_MSE: math.inf,
+            ShrinkageKind.IS: math.inf,
+            ShrinkageKind.IS_II: math.inf,
+            ShrinkageKind.COSH: math.inf,
+            ShrinkageKind.WCOSH: math.copysign(math.inf, x),
+        }
+        for clean in (None, 7.0, -7.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for kind, at_zero in singular.items():
+                    values = risk_estimate(kind, a, x, 1.0, clean=clean)
+                    assert values.shape == a.shape
+                    assert values[0] == at_zero, (kind, x, clean)
+                    assert np.all(np.isfinite(values[1:])), (kind, x, clean)
+                    assert risk_estimate(kind, 0.0, x, 1.0, clean=clean) == at_zero
 
 
 def test_zero_observation_rejected_for_non_mse():
@@ -306,7 +352,7 @@ def test_one_draw_is_rejected():
     # the tolerances need a standard error, which one draw does not have
     scene = SyntheticScene(clean=25.0, spec=SPEC1)
     for check in (
-        lambda: verification_suite(n_samples=1),
+        lambda: verification_suite(n_samples=1, seed=0, grid_step=1e-4),
         lambda: generalized_stein_check("linear", 0, SPEC1, 1, seed=0),
         lambda: unbiasedness_check(ShrinkageKind.MSE, 0.5, scene, 1, seed=0),
     ):

@@ -6,7 +6,7 @@ import pytest
 
 import riskshrink
 from riskshrink.risklab import oracle_argmin
-from riskshrink.shrinkage import ShrinkageKind, gain, gain_array, gain_rows
+from riskshrink.shrinkage import ShrinkageKind, gain, gain_rows
 
 ALL_KINDS = list(ShrinkageKind)
 
@@ -54,9 +54,9 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         gain(ShrinkageKind.MSE, -1.0)
     with pytest.raises(ValueError):
-        gain_array(ShrinkageKind.WE, np.array([1.0, -0.5]))
+        gain_rows([ShrinkageKind.WE], [np.array([1.0, -0.5])])
     with pytest.raises(ValueError, match="nonnegative"):
-        gain_array(ShrinkageKind.MSE, np.array([np.nan, -1.0]))
+        gain_rows([ShrinkageKind.MSE], [np.array([np.nan, -1.0])])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -66,7 +66,7 @@ def test_range_invariant(kind, alpha):
     xi = np.concatenate(
         [[0.0, 1e-300, 1e9, np.inf], 10.0 ** rng.uniform(-8, 10, size=2000)]
     )
-    g = gain_array(kind, xi, alpha)
+    g = gain_rows([kind], [xi], alpha)[0]
     assert np.all(g >= 0.0)
     assert np.all(g <= 1.0)
     assert np.all(np.isfinite(g))
@@ -91,8 +91,11 @@ def test_pinned_values(alpha):
     xi_eff = np.array([0.0, 1e-320, 1e-300, np.nan, np.inf, 1.0])
     for kind in ALL_KINDS:
         want = [0.0, 0.0, 0.0, 0.0, 1.0, POINT_UNIT[kind]]
-        got = gain_array(kind, xi_eff * alpha, alpha).tolist()
+        got = gain_rows([kind], [xi_eff * alpha], alpha)[0].tolist()
         assert got == pytest.approx(want, rel=1e-14, abs=0.0), kind
+
+
+# In a test name, gain_array is the one-row call gain_rows([kind], [xi], alpha)[0].
 
 
 def test_gain_is_gain_array_on_one_value():
@@ -101,7 +104,7 @@ def test_gain_is_gain_array_on_one_value():
     xi = np.concatenate([edges, 10.0 ** np.random.default_rng(5).uniform(-4, 6, 64)])
     for kind in ALL_KINDS:
         for alpha in (0.5, 1.0, 1.75):
-            for v, ref in zip(xi.tolist(), gain_array(kind, xi, alpha).tolist()):
+            for v, ref in zip(xi.tolist(), gain_rows([kind], [xi], alpha)[0].tolist()):
                 g = gain(kind, v, alpha)
                 assert type(g) is float
                 assert g == ref
@@ -110,7 +113,7 @@ def test_gain_is_gain_array_on_one_value():
 def test_gain_array_nan_is_zero_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g = gain_array(ShrinkageKind.MSE, np.full(4, np.nan))
+        g = gain_rows([ShrinkageKind.MSE], [np.full(4, np.nan)])[0]
     np.testing.assert_array_equal(g, np.zeros(4))
 
 
@@ -121,7 +124,7 @@ def test_unknown_kind_rejected(kind):
         with pytest.raises(ValueError, match="ShrinkageKind"):
             gain(kind, xi)
         with pytest.raises(ValueError, match="ShrinkageKind"):
-            gain_array(kind, np.array([xi]))
+            gain_rows([kind], [np.array([xi])])
 
 
 # zero, the smallest subnormal, subnormals whose reciprocal overflows, tiny,
@@ -151,14 +154,15 @@ def test_gain_rows_row_k_is_gain_array_bitwise(kinds, alpha):
         g = gain_rows(kinds, xi, alpha)
         assert g.shape == xi.shape
         for k, kind in enumerate(kinds):
-            want = gain_array(kind, xi[k], alpha)
+            want = gain_rows([kind], [xi[k]], alpha)[0]
             assert g[k].tobytes() == want.tobytes(), (kind, k)
 
 
 def test_gain_array_keeps_the_shape_of_xi():
-    g = gain_array(ShrinkageKind.WE, 4.0)
+    # a one-row stack keeps the shape of its row, 0-d for a scalar
+    g = gain_rows([ShrinkageKind.WE], [4.0])[0, ...]
     assert isinstance(g, np.ndarray) and g.shape == ()
-    assert gain_array(ShrinkageKind.WE, np.ones((2, 3))).shape == (2, 3)
+    assert gain_rows([ShrinkageKind.WE], [np.ones((2, 3))])[0].shape == (2, 3)
 
 
 def test_gain_rows_validation():
@@ -186,7 +190,7 @@ def test_monotonicity_diagnostic_scan():
     # to see the counts.
     xi = 10.0 ** np.linspace(0.0, 6.0, 50_001)
     for kind in ALL_KINDS:
-        g = gain_array(kind, xi)
+        g = gain_rows([kind], [xi])[0]
         drops = int(np.sum(np.diff(g) < -1e-15))
         print(f"monotonicity scan {kind.value}: {drops} decreasing steps")
 
