@@ -23,10 +23,12 @@ from .pipeline import DenoiserConfig, denoise_file, denoise_kinds
 from .shrinkage import ShrinkageKind, gain_rows
 
 # Bounds on outside input that would otherwise allocate without limit: the
-# points of one curves table (0:100:0.001 is the largest range taken), and the
-# oracle grid step of verify (1e-6 gives each of its 1,400 searches 1e6 points).
+# points of one curves table (0:100:0.001 is the largest range taken), the
+# oracle grid step of verify (1e-6 gives each of its 1,400 searches 1e6 points),
+# and the Monte Carlo draws of each verify check.
 _MAX_CURVE_POINTS = 100_001
 _MIN_GRID_STEP = 1e-6
+_MAX_SAMPLES = 10_000_000
 
 
 def _parse_kind(text: str) -> ShrinkageKind:
@@ -209,6 +211,8 @@ def _cmd_curves(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     if args.samples < 2:
         parser.error("--samples must be at least 2")
+    if args.samples > _MAX_SAMPLES:
+        parser.error(f"--samples must be at most {_MAX_SAMPLES}")
     if args.seed < 0:
         parser.error("--seed must be non-negative")
     if not _MIN_GRID_STEP <= args.grid_step <= 0.5:

@@ -33,10 +33,11 @@ class TruncatedGaussianSpec:
     c: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not self.c > 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        # an infinite sigma would leave the rejection sampler no draw to keep
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
 
     @property
     def bound(self) -> float:
@@ -119,40 +120,34 @@ def _require_two_samples(n_samples: int) -> None:
 # Stein-type identity checks
 # ---------------------------------------------------------------------------
 
-STEIN_FUNCTION_IDS = (
-    "const",
-    "linear",
-    "square",
-    "cube",
-    "quartic",
-    "recip_shifted",
-    "rational_bounded",
-)
+# Catalog of (f, f') pairs, each taking the draws ``w`` and the pole shift
+# ``s = 10 * spec.bound`` that keeps ``recip_shifted``'s pole far outside the
+# truncation support; the other entries ignore ``s``.
+_STEIN_PAIRS = {
+    "const": (lambda w, s: np.ones_like(w), lambda w, s: np.zeros_like(w)),
+    "linear": (lambda w, s: w, lambda w, s: np.ones_like(w)),
+    "square": (lambda w, s: w * w, lambda w, s: 2.0 * w),
+    "cube": (lambda w, s: w**3, lambda w, s: 3.0 * w * w),
+    "quartic": (lambda w, s: w**4, lambda w, s: 4.0 * w**3),
+    "recip_shifted": (lambda w, s: 1.0 / (w + s), lambda w, s: -1.0 / (w + s) ** 2),
+    "rational_bounded": (
+        lambda w, s: w / (1.0 + w * w),
+        lambda w, s: (1.0 - w * w) / (1.0 + w * w) ** 2,
+    ),
+}
+STEIN_FUNCTION_IDS = tuple(_STEIN_PAIRS)
 
 
-def _stein_pair(f_id: str, spec: TruncatedGaussianSpec):
-    """Return (f, f') for a catalog entry; rational entries keep their poles
-    far outside the truncation support."""
-    shift = 10.0 * spec.bound
-    catalog = {
-        "const": (lambda w: np.ones_like(w), lambda w: np.zeros_like(w)),
-        "linear": (lambda w: w, lambda w: np.ones_like(w)),
-        "square": (lambda w: w * w, lambda w: 2.0 * w),
-        "cube": (lambda w: w**3, lambda w: 3.0 * w * w),
-        "quartic": (lambda w: w**4, lambda w: 4.0 * w**3),
-        "recip_shifted": (
-            lambda w: 1.0 / (w + shift),
-            lambda w: -1.0 / (w + shift) ** 2,
-        ),
-        "rational_bounded": (
-            lambda w: w / (1.0 + w * w),
-            lambda w: (1.0 - w * w) / (1.0 + w * w) ** 2,
-        ),
-    }
-    try:
-        return catalog[f_id]
-    except KeyError:
-        raise ValueError(f"unknown Stein test function {f_id!r}") from None
+def _mc_row(name: str, lhs_terms, rhs_terms, allowance: float) -> CheckResult:
+    """Monte Carlo row: the means of both per-draw terms, with a tolerance of
+    three standard errors of their per-draw difference plus ``allowance``."""
+    stderr = np.std(lhs_terms - rhs_terms, ddof=1) / math.sqrt(lhs_terms.size)
+    return CheckResult(
+        name,
+        float(np.mean(lhs_terms)),
+        float(np.mean(rhs_terms)),
+        float(3.0 * stderr + allowance),
+    )
 
 
 def generalized_stein_check(
@@ -162,31 +157,22 @@ def generalized_stein_check(
     against ``sigma**2 * (mean f'(W) W**n + n * mean f(W) W**(n-1))``.
 
     Order 0 is the first-order identity, ``E[W f(W)] = sigma**2 E[f'(W)]``.
-    The tolerance combines three MC standard errors of the per-sample
-    difference with the ``exp(-c**2)`` truncation allowance.
+    The row's ``_mc_row`` allowance is the ``exp(-c**2)`` truncation allowance.
     """
     if n not in (0, 1, 2, 3, 4):
         raise ValueError(f"order n must be in 0..4, got {n}")
     _require_two_samples(n_samples)
-    f, fprime = _stein_pair(f_id, spec)
+    if f_id not in _STEIN_PAIRS:
+        raise ValueError(f"unknown Stein test function {f_id!r}")
+    f, fprime = _STEIN_PAIRS[f_id]
     w = sample_truncated_gaussian(spec, n_samples, seed)
-    fw = f(w)
-    if n == 0:
-        lhs_terms = w * fw
-        rhs_terms = spec.sigma**2 * fprime(w)
-        name = f"stein:{f_id}:sigma={spec.sigma:g}"
-    else:
-        lhs_terms = w ** (n + 1) * fw
-        rhs_terms = spec.sigma**2 * (fprime(w) * w**n + n * fw * w ** (n - 1))
-        name = f"stein_gen:n={n}:{f_id}:sigma={spec.sigma:g}"
-    stderr = np.std(lhs_terms - rhs_terms, ddof=1) / math.sqrt(n_samples)
-    tol = 3.0 * stderr + math.exp(-spec.c**2)
-    return CheckResult(
-        name=name,
-        lhs=float(np.mean(lhs_terms)),
-        rhs=float(np.mean(rhs_terms)),
-        tol=float(tol),
-    )
+    shift = 10.0 * spec.bound
+    fw = f(w, shift)
+    # max(n - 1, 0): at n = 0, W**-1 would turn a zero draw's 0 * f(0) into NaN
+    lhs_terms = w ** (n + 1) * fw
+    rhs_terms = spec.sigma**2 * (fprime(w, shift) * w**n + n * fw * w ** max(n - 1, 0))
+    name = f"stein:{f_id}" if n == 0 else f"stein_gen:n={n}:{f_id}"
+    return _mc_row(f"{name}:sigma={spec.sigma:g}", lhs_terms, rhs_terms, math.exp(-spec.c**2))
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +199,18 @@ def risk_estimate(kind: ShrinkageKind, a, x, sigma: float, clean=None):
 
     Without ``clean`` the value omits the a-independent signal terms and bare
     constants, which is all the minimizer needs; with ``clean`` the full
-    expression is returned (required for unbiasedness comparisons).  Singular
-    ``a = 0`` endpoints come out as infinities of the appropriate sign, the
-    IEEE limits of the expressions, for finite ``x`` whose polynomials in
+    expression is returned (required for unbiasedness comparisons).  A
+    non-finite ``x`` is refused, and so is ``x = 0`` except for squared error.
+    Singular ``a = 0`` endpoints come out as infinities of the appropriate
+    sign, the IEEE limits of the expressions, for ``x`` whose polynomials in
     ``sigma**2 / x**2`` stay finite (``|x|`` above about ``1e-38 * sigma``).
     """
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValueError(f"gain candidate must lie in [0, 1], got {a}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{kind.value} risk estimate undefined at non-finite X")
     if kind is not ShrinkageKind.MSE and np.any(x == 0.0):
         raise ValueError(f"{kind.value} risk estimate undefined at X = 0")
     sig2 = sigma * sigma
@@ -322,9 +311,9 @@ def unbiasedness_check(
     """MC mean of the true distortion (``lhs``) against that of its estimate
     (``rhs``) over shared noise draws.
 
-    The tolerance is three standard errors of the per-draw difference plus,
-    for squared error, the ``exp(-c**2)`` truncation allowance and, for the
-    series-based measures, a 1% relative band for the fourth-order series cut.
+    The row's ``_mc_row`` allowance is the ``exp(-c**2)`` truncation allowance
+    for squared error, and a 1% relative band for the fourth-order series cut
+    of the other measures.
     """
     if kind is not ShrinkageKind.MSE and not scene.high_snr:
         raise ValueError(
@@ -336,18 +325,11 @@ def unbiasedness_check(
     x = scene.clean + w
     d = _distortion(kind, a, scene.clean, x)
     est = risk_estimate(kind, a, x, scene.spec.sigma, clean=scene.clean)
-    stderr = float(np.std(d - est, ddof=1) / math.sqrt(n_samples))
-    mean_true = float(np.mean(d))
     if kind is ShrinkageKind.MSE:
-        tol = 3.0 * stderr + math.exp(-scene.spec.c * scene.spec.c)
+        allowance = math.exp(-scene.spec.c * scene.spec.c)
     else:
-        tol = 0.01 * abs(mean_true) + 3.0 * stderr
-    return CheckResult(
-        f"unbiased:{kind.value}:S={scene.clean:g}:a={a:g}",
-        mean_true,
-        float(np.mean(est)),
-        tol,
-    )
+        allowance = 0.01 * abs(float(np.mean(d)))
+    return _mc_row(f"unbiased:{kind.value}:S={scene.clean:g}:a={a:g}", d, est, allowance)
 
 
 def high_snr_event_check(

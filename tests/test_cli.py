@@ -437,6 +437,20 @@ def test_verify_zero_samples_is_usage_error(samples, capsys):
     assert "--samples must be at least 2" in capsys.readouterr().err
 
 
+def test_verify_too_many_samples_is_usage_error(monkeypatch, capsys):
+    # refused before anything is drawn: 1e9 samples would need gigabytes
+    import riskshrink.cli as cli_mod
+
+    def never(**kw):
+        pytest.fail("verification_suite ran past the --samples limit")
+
+    monkeypatch.setattr(cli_mod.risklab, "verification_suite", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--samples", "10000001"])
+    assert exc.value.code == 2
+    assert "--samples must be at most 10000000" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid_step", ["9e-7", "0", "0.6", "nan", "-1"])
 def test_verify_grid_step_out_of_range_is_usage_error(grid_step, capsys):
     # a step below 1e-6 would make the oracle's grid alone gigabytes long

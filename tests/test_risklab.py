@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from riskshrink import risklab
 from riskshrink.risklab import (
     GAIN_POINT_XI10,
     STEIN_FUNCTION_IDS,
@@ -33,6 +35,13 @@ def test_spec_validation():
         TruncatedGaussianSpec(sigma=0.0, c=5.0)
     with pytest.raises(ValueError):
         TruncatedGaussianSpec(sigma=1.0, c=-1.0)
+    # an infinite sigma would make every draw +-inf, so the rejection sampler
+    # would never fill its output; an infinite c has a NaN variance
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="sigma"):
+            TruncatedGaussianSpec(sigma=bad, c=5.0)
+        with pytest.raises(ValueError, match="c must"):
+            TruncatedGaussianSpec(sigma=1.0, c=bad)
 
 
 def test_density_integrates_to_one():
@@ -105,6 +114,37 @@ def test_stein_unknown_function():
 def test_stein_full_catalog_passes():
     for f_id in STEIN_FUNCTION_IDS:
         assert generalized_stein_check(f_id, 0, SPEC1, 100_000, seed=8).passed, f_id
+
+
+@pytest.mark.parametrize("sigma", [0.5, 2.0])
+@pytest.mark.parametrize("f_id", STEIN_FUNCTION_IDS)
+def test_stein_catalog_derivatives(f_id, sigma):
+    # a wrong f' would otherwise show only as a statistical FAIL; the points
+    # avoid w = 0 and the roots of rational_bounded's derivative, where a
+    # relative check has nothing to compare against
+    spec = TruncatedGaussianSpec(sigma=sigma, c=5.0)
+    f, fprime = risklab._STEIN_PAIRS[f_id]
+    shift = 10.0 * spec.bound
+    w = spec.bound * np.linspace(-0.93, 0.87, 9)
+    h = 1e-5 * (1.0 + np.abs(w))
+    central = (f(w + h, shift) - f(w - h, shift)) / (2.0 * h)
+    np.testing.assert_allclose(central, fprime(w, shift), rtol=1e-6, atol=0.0)
+
+
+def test_stein_rows_stay_finite_with_a_zero_draw(monkeypatch):
+    # a draw of exactly +-0 must not reach 0 * f(0) / 0 at any order
+    sample = risklab.sample_truncated_gaussian
+
+    def with_zeros(spec, count, seed):
+        return np.concatenate(([0.0, -0.0], sample(spec, count - 2, seed)))
+
+    monkeypatch.setattr(risklab, "sample_truncated_gaussian", with_zeros)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f_id in STEIN_FUNCTION_IDS:
+            for n in (0, 1, 2, 3, 4):
+                res = generalized_stein_check(f_id, n, SPEC1, 1000, seed=21)
+                assert all(map(math.isfinite, (res.lhs, res.rhs, res.tol))), (f_id, n)
 
 
 def test_generalized_const_recovers_variance():
@@ -211,6 +251,21 @@ def test_zero_observation_rejected_for_non_mse():
         risk_estimate(ShrinkageKind.WE, 0.5, 0.0, 1.0)
     # the squared-error estimate stays defined there
     assert risk_estimate(ShrinkageKind.MSE, 0.5, 0.0, 1.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("kind", list(ShrinkageKind))
+def test_non_finite_observation_rejected(kind, x):
+    with pytest.raises(ValueError, match="non-finite X"):
+        risk_estimate(kind, 0.5, x, 1.0)
+    with pytest.raises(ValueError, match="non-finite X"):
+        risk_estimate(kind, 0.5, [3.0, x], 1.0, clean=3.0)
+
+
+def test_oracle_rejects_non_finite_observation():
+    # the whole estimate row would be NaN or +-inf, and the argmin meaningless
+    with pytest.raises(ValueError, match="non-finite X"):
+        oracle_argmin(ShrinkageKind.IS, math.inf, 1.0)
 
 
 def test_gain_candidate_range_checked():
@@ -410,6 +465,16 @@ def test_verification_suite_small():
     names = {r.name for r in rows}
     assert any(n.startswith("oracle:") for n in names)
     assert "event:high_snr" in names
+
+
+def test_verification_suite_bits_pinned():
+    # every bit of every row, pinned with numpy 2.4.6; the verify report
+    # digest in test_cli sees only 8 significant digits
+    rows = verification_suite(n_samples=2000, seed=0, grid_step=0.05)
+    text = "\n".join(f"{r.name} {r.lhs.hex()} {r.rhs.hex()} {r.tol.hex()}" for r in rows)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "196986f4efffbb5285817d1de15e633cb2cdcea370f7c40d9a055a10d6de7f28"
+    )
 
 
 def test_point_value_table_matches_module():
