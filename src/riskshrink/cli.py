@@ -10,6 +10,7 @@ import csv
 import json
 import math
 import sys
+import wave
 from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
@@ -93,13 +94,26 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
+def _header_rate(path) -> int:
+    """The sample rate in the WAV header of ``path``, or the default rate when
+    there is none: a bad flag is then still a usage error, and the file's own
+    fault is reported when ``denoise_file`` reads it."""
+    try:
+        with wave.open(str(path), "rb") as reader:
+            return reader.getframerate() or DenoiserConfig.sample_rate
+    except (OSError, EOFError, wave.Error):
+        return DenoiserConfig.sample_rate
+
+
 def _build_config(args: argparse.Namespace) -> DenoiserConfig:
+    """The denoise config from the flags and the config file, checked at the
+    input's sample rate, since the frame geometry depends on it."""
     merged = _parse_config_file(args.config) if args.config else {}
     for name in _FIELD_PARSERS:
         raw = getattr(args, name)
         if raw is not None:
             merged[name] = _parse_field(name, raw, where=name)
-    return DenoiserConfig(**merged)
+    return DenoiserConfig(sample_rate=_header_rate(args.in_path), **merged)
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:

@@ -3,15 +3,12 @@
 The signal is analyzed on a short-time DCT grid; the leading frames build the
 initial noise statistics (they are assumed noise-only), after which every
 frame, including those leading ones, is denoised in order: one tracker step
-(VAD decision with hangover, noise-variance update, inverse-SNR update), the
-per-bin gain, inverse transform and weighted overlap-add.
+(VAD decision with hangover, noise-variance update, inverse-SNR update and the
+per-bin gain), then the inverse transform and weighted overlap-add.
 
-Several streams run in lockstep: every input row with every requested gain,
-one tracker step and one gain call per frame for all of them.  The VAD and
-the noise floor run once per input, primed by the mse (Wiener) estimate, so
-that gain always runs as the first row, and its output is dropped when it was
-not requested.  Analysis and synthesis go in blocks of frames, so no buffer of
-coefficients spans the whole signal.
+Several streams run in lockstep, every input row with every requested gain:
+one tracker step per frame for all of them.  Analysis and synthesis go in
+blocks of frames, so no buffer of coefficients spans the whole signal.
 """
 
 from dataclasses import dataclass, replace
@@ -20,7 +17,7 @@ import numpy as np
 
 from . import stdct, tracking
 from .audio import AudioBuffer, read_wav, write_wav
-from .shrinkage import ShrinkageKind, gain_rows
+from .shrinkage import ShrinkageKind
 
 # The tracker counts hangover frames down in int64.
 _MAX_HANGOVER = int(np.iinfo(np.int64).max)
@@ -123,38 +120,29 @@ def _run(noisy: np.ndarray, config: DenoiserConfig, kinds):
             f"{init} initialization frames"
         )
 
-    # The gains stepped per frame: mse first, since the VAD reads its
-    # estimate, then each other requested kind once; ``keep`` picks the
-    # output rows in the order of ``kinds``.
-    rows = list(dict.fromkeys([ShrinkageKind.MSE, *kinds]))
-    keep = [rows.index(kind) for kind in kinds]
     grid = stdct.make_frame_grid(x.shape[-1], frame_len, hop)
     window = stdct.hamming_window(frame_len)
     frames = stdct.frame_view(x, grid)
-    state = tracking.initialize(stdct.dct_forward(frames[:, :init] * window))
-    state.prev_denoised = np.zeros((len(rows),) + state.noise_var.shape)
+    state = tracking.initialize(stdct.dct_forward(frames[:, :init] * window), kinds)
     out = np.zeros((len(kinds), x.shape[0], grid.padded_len))
     speech_frames = np.zeros(x.shape[0], dtype=np.int64)
-    with np.errstate(divide="ignore"):  # 1/inv_xi where inv_xi == 0
-        for start in range(0, grid.num_frames, _BLOCK_FRAMES):
-            coeffs = stdct.dct_forward(frames[:, start : start + _BLOCK_FRAMES] * window)
-            denoised = np.empty((len(rows),) + coeffs.shape)
-            for j in range(coeffs.shape[1]):
-                frame = coeffs[:, j]
-                inv_xi, speech = tracking.step(
-                    state,
-                    frame,
-                    threshold=config.vad_threshold,
-                    hangover=config.vad_hangover,
-                    eta=config.eta,
-                    beta=config.beta,
-                )
-                speech_frames += speech
-                shrunk = denoised[:, :, j]
-                np.multiply(gain_rows(rows, 1.0 / inv_xi, config.alpha), frame, out=shrunk)
-                state.prev_denoised = shrunk
-            synthesized = stdct.dct_inverse(denoised[keep])
-            stdct.overlap_add_block(out, synthesized, grid, window, start)
+    for start in range(0, grid.num_frames, _BLOCK_FRAMES):
+        coeffs = stdct.dct_forward(frames[:, start : start + _BLOCK_FRAMES] * window)
+        denoised = np.empty((len(state.rows),) + coeffs.shape)
+        for j in range(coeffs.shape[1]):
+            _, speech = tracking.step(
+                state,
+                coeffs[:, j],
+                denoised[:, :, j],
+                threshold=config.vad_threshold,
+                hangover=config.vad_hangover,
+                eta=config.eta,
+                beta=config.beta,
+                alpha=config.alpha,
+            )
+            speech_frames += speech
+        synthesized = stdct.dct_inverse(denoised[: len(kinds)])
+        stdct.overlap_add_block(out, synthesized, grid, window, start)
     stdct.overlap_normalize(out, grid, window)
     return out[..., : x.shape[-1]], speech_frames, grid.num_frames
 

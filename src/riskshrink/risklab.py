@@ -21,6 +21,11 @@ import numpy as np
 
 from .shrinkage import ShrinkageKind, gain
 
+# Draws the rejection sampler may take in its first batch: 1e8 float64 draws
+# are 800 MB, ten times the largest batch verify takes (1e7 samples at c = 5).
+# A smaller c keeps so few draws that no batch it needs could be allocated.
+_MAX_DRAWS = 100_000_000
+
 # Measures optimized toward a maximum when the clean coefficient is negative.
 _MAXIMIZED_WHEN_NEGATIVE = frozenset({ShrinkageKind.WE, ShrinkageKind.WCOSH})
 
@@ -96,6 +101,12 @@ def sample_truncated_gaussian(
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
+    draws = count / spec.normalizer + 16
+    if draws > _MAX_DRAWS:
+        raise ValueError(
+            f"{count} samples at c={spec.c} need about {draws:.3g} draws, "
+            f"more than the limit of {_MAX_DRAWS:.0e}"
+        )
     rng = np.random.default_rng(seed)
     out = np.empty(count)
     filled = 0

@@ -1,19 +1,21 @@
-"""Per-bin noise-variance tracking with a likelihood-ratio VAD gate and the
-recursive inverse a-posteriori SNR estimate.
+"""Per-bin noise-variance tracking with a likelihood-ratio VAD gate, the
+recursive inverse a-posteriori SNR estimate, and the gains it feeds.
 
-One call of :func:`step` advances the tracker by one frame.  The VAD, its
-hangover and the noise floor belong to the input: state arrays carry any
-number of leading input axes, one row of ``bins`` per input, and every gain
-applied to that input shares them.  Only the inverse-SNR recursion runs per
-gain, on a leading kinds axis of ``prev_denoised`` whose first row, the mse
-(Wiener) estimate, primes the VAD.  So no gain can hide speech from the VAD
-that sets its own floor.  An input's frames are strictly sequential since
-each frame's estimate depends on the previous one.
+One call of :func:`step` denoises one frame.  The VAD, its hangover and the
+noise floor belong to the input: state arrays carry any number of leading
+input axes, one row of ``bins`` per input, shared by every gain applied to
+that input.  Only the inverse-SNR recursion runs per gain, one row each: the
+requested kinds in their order, then a hidden mse (Wiener) row when mse was
+not requested.  The VAD reads the mse estimate, so no gain can hide speech
+from the VAD that sets its own floor.  An input's frames are strictly
+sequential since each frame's estimate depends on the previous one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from .shrinkage import ShrinkageKind, gain_rows
 
 # Decision-directed smoothing weight for the VAD-internal prior SNR.
 _DD_WEIGHT = 0.98
@@ -26,14 +28,15 @@ _GAMMA_CAP = 1e6
 class TrackerState:
     """Tracker state, updated in place by :func:`step`.
 
-    ``noise_var`` has shape ``(..., bins)``, one row per input; ``hang``
-    holds the hangover frames left per input.  ``prev_noisy_sq`` is the
-    previous frame's squared coefficients (any shape broadcasting against
-    ``noise_var``).  ``prev_denoised`` has shape ``(kinds, ..., bins)``: the
-    caller stores each frame's denoised coefficients there, one row per gain
-    with the mse estimate first, before the next step.
+    ``rows`` holds the gain of each row of ``prev_denoised``, the previous
+    frame's denoised coefficients, shape ``(rows, ..., bins)``; the VAD reads
+    row ``mse_row``.  ``noise_var`` and ``prev_noisy_sq``, the previous
+    frame's squared coefficients, have shape ``(..., bins)``, one row per
+    input; ``hang`` holds the hangover frames left per input.
     """
 
+    rows: list
+    mse_row: int
     noise_var: np.ndarray
     prev_denoised: np.ndarray
     prev_noisy_sq: np.ndarray
@@ -41,22 +44,27 @@ class TrackerState:
     frames_seen: int = 0
 
 
-def initialize(first_frames: np.ndarray) -> TrackerState:
+def initialize(first_frames: np.ndarray, kinds=()) -> TrackerState:
     """Build initial state from leading frames assumed to contain only noise.
 
     ``first_frames`` has shape ``(..., frames, bins)``; the per-bin variance
     of each input is the average squared coefficient over all its frames.
-    ``prev_denoised`` starts as one zero row, for one kind; a caller that
-    steps several kinds replaces it with one zero row per kind.
+    The rows are ``kinds`` in their order, repeats included, then mse when
+    ``kinds`` lacks it; ``prev_denoised`` starts as one zero row each.
     """
     frames = np.atleast_2d(np.asarray(first_frames, dtype=np.float64))
     if frames.shape[-2] == 0:
         raise ValueError("need at least one initialization frame, got 0")
     noise_var = np.mean(frames**2, axis=-2)
+    rows = list(kinds)
+    if ShrinkageKind.MSE not in rows:
+        rows.append(ShrinkageKind.MSE)
     return TrackerState(
+        rows=rows,
+        mse_row=rows.index(ShrinkageKind.MSE),
         noise_var=noise_var,
-        prev_denoised=np.zeros((1,) + noise_var.shape),
-        prev_noisy_sq=np.zeros(noise_var.shape[-1]),
+        prev_denoised=np.zeros((len(rows),) + noise_var.shape),
+        prev_noisy_sq=np.zeros_like(noise_var),
         hang=np.zeros(noise_var.shape[:-1], dtype=np.int64),
     )
 
@@ -67,15 +75,15 @@ def vad(x_sq: np.ndarray, state: TrackerState) -> np.ndarray:
     ``x_sq`` is the frame's squared coefficients.  Per bin the term is
     ``gamma * rho / (1 + rho) - log(1 + rho)`` with ``gamma`` the
     a-posteriori SNR and ``rho`` a decision-directed prior SNR blending the
-    previous mse estimate (row 0 of ``prev_denoised``) with the current
-    observation.
+    previous mse estimate with the current observation.
     """
     nv = state.noise_var
     live = nv > 0.0
+    prev = state.prev_denoised[state.mse_row]
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = np.where(live, x_sq / nv, np.where(x_sq > 0.0, _GAMMA_CAP, 0.0))
         gamma = np.minimum(gamma, _GAMMA_CAP)
-        dd = np.where(live, _DD_WEIGHT * state.prev_denoised[0] ** 2 / nv, 0.0)
+        dd = np.where(live, _DD_WEIGHT * prev**2 / nv, 0.0)
     rho = np.minimum(dd + (1.0 - _DD_WEIGHT) * np.maximum(gamma - 1.0, 0.0), _GAMMA_CAP)
     return np.mean(gamma * rho / (1.0 + rho) - np.log1p(rho), axis=-1)
 
@@ -91,22 +99,24 @@ def update_noise(
 def step(
     state: TrackerState,
     frame: np.ndarray,
+    out: np.ndarray,
     *,
     threshold: float,
     hangover: int,
     eta: float,
     beta: float,
+    alpha: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the tracker by one frame; return ``(inv_xi, speech)``.
+    """Advance the tracker by one frame and write each row's denoised ``frame``
+    into ``out``, kept as ``prev_denoised``; return ``(inv_xi, speech)``.
 
-    ``speech`` has one flag per input and ``inv_xi`` one row per kind of
-    ``prev_denoised``.  An input counts as speech when its VAD statistic
-    exceeds ``threshold`` or for ``hangover`` frames after one that did; its
-    noise variance updates only otherwise.  Then, with the updated variance,
-    ``1/xi = b * noise_var/X**2 + (1-b) * max(1 - S_prev**2/X_prev**2, 0)``
-    with ``b = beta``, except ``b = 1`` on the very first frame, which has no
-    previous one.  Bins with ``X = 0`` get an infinite inverse SNR, which
-    downstream maps to zero gain.
+    ``speech`` has one flag per input.  An input counts as speech when its
+    VAD statistic exceeds ``threshold`` or for ``hangover`` frames after one
+    that did; its noise variance updates only otherwise.  Each row then has,
+    with the updated variance and ``b = beta`` (``b = 1`` on the first frame),
+    ``1/xi = b * noise_var/X**2 + (1-b) * max(1 - S_prev**2/X_prev**2, 0)``,
+    and ``X = 0`` gives ``1/xi = inf``, so zero gain.  Row ``k`` of ``out`` is
+    ``frame`` times the gain of ``rows[k]`` at ``xi`` and ``alpha``.
     """
     x_sq = np.asarray(frame, dtype=np.float64) ** 2
     raw = vad(x_sq, state) > threshold
@@ -120,6 +130,8 @@ def step(
         ratio = np.where(prev_sq > 0.0, state.prev_denoised**2 / prev_sq, 0.0)
         residual = np.maximum(1.0 - ratio, 0.0)
         inv = np.where(x_sq > 0.0, b * nv / x_sq + (1.0 - b) * residual, np.inf)
+        np.multiply(gain_rows(state.rows, 1.0 / inv, alpha), frame, out=out)
+    state.prev_denoised = out
     state.prev_noisy_sq = x_sq
     state.frames_seen += 1
     return inv, speech

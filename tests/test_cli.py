@@ -294,6 +294,26 @@ def test_denoise_at_rates_with_fractional_hops(rate, frame_len, hop, tmp_path, c
     assert (summary["frame_len"], summary["hop"]) == (frame_len, hop)
 
 
+def test_denoise_checks_the_geometry_at_the_file_rate(tmp_path, capsys):
+    # 0.1 ms is a 4-sample frame with a 1-sample hop at 44.1 kHz
+    src, dst = tmp_path / "hi.wav", tmp_path / "out.wav"
+    write_wav(src, generate_white_noise(4410, 0.05, seed=43, sample_rate=44100))
+    assert main(["denoise", "--in", str(src), "--out", str(dst), "--frame-ms", "0.1"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["frame_len"], summary["hop"]) == (4, 1)
+    assert len(read_wav(dst)) == 4410
+
+
+def test_denoise_geometry_refused_at_the_file_rate_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "lo.wav"
+    write_wav(src, generate_white_noise(800, 0.05, seed=43, sample_rate=8000))
+    with pytest.raises(SystemExit) as exc:
+        main(["denoise", "--in", str(src), "--out", str(tmp_path / "o.wav"),
+              "--frame-ms", "0.1"])
+    assert exc.value.code == 2
+    assert "at 8000 Hz give frame_len=1 and hop=0" in capsys.readouterr().err
+
+
 def test_evaluate_at_11025_hz(tmp_path):
     clean, noise = tmp_path / "clean.wav", tmp_path / "noise.wav"
     write_wav(clean, make_voiced(11025))

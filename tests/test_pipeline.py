@@ -1,12 +1,14 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_voiced
 from riskshrink.audio import generate_white_noise, mix_at_snr, read_wav, write_wav
 from riskshrink.metrics import global_snr_db
-from riskshrink import pipeline, shrinkage, stdct, tracking
+from riskshrink import shrinkage, stdct, tracking
 from riskshrink.pipeline import DenoiserConfig, denoise, denoise_file, denoise_kinds
 from riskshrink.shrinkage import ShrinkageKind
 
@@ -117,7 +119,7 @@ def test_determinism_bit_identical():
 
 
 def test_unit_gain_hook_reduces_to_roundtrip(monkeypatch):
-    monkeypatch.setattr(pipeline, "gain_rows", lambda kinds, xi, alpha: np.ones_like(xi))
+    monkeypatch.setattr(tracking, "gain_rows", lambda kinds, xi, alpha: np.ones_like(xi))
     rng = np.random.default_rng(33)
     x = 0.3 * rng.standard_normal(4000)
     out = denoise(x, DenoiserConfig())
@@ -133,7 +135,7 @@ def test_one_gain_call_per_frame_covers_every_stream(monkeypatch):
         calls.append(xi.shape)
         return shrinkage.gain_rows(kinds, xi, alpha)
 
-    monkeypatch.setattr(pipeline, "gain_rows", counted)
+    monkeypatch.setattr(tracking, "gain_rows", counted)
     noisy = np.random.default_rng(34).standard_normal((2, 4000))
     cfg = DenoiserConfig()
     out = denoise_kinds(noisy, cfg, list(ShrinkageKind))
@@ -183,7 +185,7 @@ def test_lockstep_long_init_spans_blocks():
 
 
 def test_lockstep_without_mse_keeps_row_order():
-    # mse runs as a hidden first row that primes the VAD; the rows returned
+    # mse runs as a hidden last row that primes the VAD; the rows returned
     # are exactly the kinds asked for, repeats included
     noisy = _lockstep_inputs(4000)
     kinds = [ShrinkageKind.WCOSH, ShrinkageKind.IS, ShrinkageKind.WCOSH]
@@ -235,6 +237,51 @@ def test_output_bits_pinned(case, overrides, voiced_buffer):
     assert list(ShrinkageKind)[0] is ShrinkageKind.MSE
     assert _sha256(out[0]) == _PINNED_MSE_SHA256[case]
     assert _sha256(out) == _PINNED_SHA256[case]
+
+
+# sha256 of denoise_kinds for kind lists whose rows are not list(ShrinkageKind):
+# a repeat without mse, and mse asked for last.  Same inputs and build as above.
+_PINNED_ORDER_SHA256 = {
+    ("default", "wcosh,is,wcosh"):
+        "2716656acdb091981acef1a3160dcec0b1c4cb014394fa57ff20a48e44cc7ad8",
+    ("default", "we,mse"):
+        "d2c361dabc43e1e69dccb5a946b751d63ab593b431cb866a614b478a67013c8d",
+    ("init20_overlap0.5", "wcosh,is,wcosh"):
+        "d0d8420212d64ac6060d536222509ccbb1b2649152c22edbe8c83f87a93c8a0b",
+    ("init20_overlap0.5", "we,mse"):
+        "fa10ec0f41abd0b0545149d21d4ecd898a590d6812fe9e510583ee4f7afbb9b0",
+}
+
+
+@pytest.mark.parametrize("kinds", ["wcosh,is,wcosh", "we,mse"])
+@pytest.mark.parametrize(
+    "case, overrides",
+    [("default", {}), ("init20_overlap0.5", {"init_noise_frames": 20, "overlap_fraction": 0.5})],
+)
+def test_row_order_bits_pinned(case, overrides, kinds, voiced_buffer):
+    clean = voiced_buffer.samples[:12000]
+    noisy = np.stack(
+        [clean + generate_white_noise(12000, 0.05, seed=s).samples for s in (50, 51)]
+    )
+    noisy[1, :1600] = 0.0  # digital-silence lead-in
+    rows = [ShrinkageKind(name) for name in kinds.split(",")]
+    out = denoise_kinds(noisy, DenoiserConfig(**overrides), rows)
+    assert _sha256(out) == _PINNED_ORDER_SHA256[case, kinds]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    kinds=st.lists(st.sampled_from(list(ShrinkageKind)), min_size=1, max_size=4),
+    inputs=st.integers(1, 3),
+)
+def test_every_row_equals_its_single_stream_denoise(kinds, inputs):
+    noisy = _lockstep_inputs(2000)[:inputs]
+    cfg = DenoiserConfig()
+    out = denoise_kinds(noisy, cfg, kinds)
+    assert out.shape == (len(kinds), inputs, 2000)
+    for k, kind in enumerate(kinds):
+        for i in range(inputs):
+            np.testing.assert_array_equal(out[k, i], denoise(noisy[i], replace(cfg, kind=kind)))
 
 
 def _paused_speech_in_noise():

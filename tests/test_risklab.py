@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -71,6 +72,19 @@ def test_sampler_moments():
     w = sample_truncated_gaussian(SPEC1, 1_000_000, seed=3)
     assert abs(np.mean(w)) < 0.005
     assert abs(np.var(w) - SPEC1.variance) < 0.01 * SPEC1.variance
+
+
+def test_sampler_refuses_a_batch_beyond_its_draw_limit():
+    # about 8e-13 of the draws fall inside c = 1e-12: the first batch alone
+    # would be 1.25e15 draws (8.9 PiB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"1\.25e\+15 draws"):
+            sample_truncated_gaussian(TruncatedGaussianSpec(1.0, 1e-12), 1000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_sampler_deterministic():

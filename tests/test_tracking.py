@@ -1,33 +1,39 @@
 import numpy as np
 import pytest
 
+from riskshrink.shrinkage import ShrinkageKind
 from riskshrink.tracking import TrackerState, initialize, step, vad
 
 
 def _state(noise_var, prev_denoised=None, prev_noisy=None, frames_seen=1):
     """State over ``noise_var``'s inputs; ``prev_denoised`` has one more
-    leading axis, the kinds, and defaults to one zero row."""
+    leading axis, one mse row per gain, and defaults to one zero row.  The
+    VAD reads row 0."""
     noise_var = np.array(noise_var, dtype=np.float64)
     zeros = np.zeros_like(noise_var)
+    prev_denoised = zeros[None] if prev_denoised is None else np.asarray(prev_denoised, float)
     return TrackerState(
+        rows=[ShrinkageKind.MSE] * len(prev_denoised),
+        mse_row=0,
         noise_var=noise_var,
-        prev_denoised=(
-            zeros[None] if prev_denoised is None else np.asarray(prev_denoised, float)
-        ),
+        prev_denoised=prev_denoised,
         prev_noisy_sq=zeros if prev_noisy is None else np.asarray(prev_noisy, float) ** 2,
         hang=np.zeros(noise_var.shape[:-1], dtype=np.int64),
         frames_seen=frames_seen,
     )
 
 
-def _step(state, frame, threshold=0.15, hangover=0, eta=0.98, beta=0.98):
+def _step(state, frame, threshold=0.15, hangover=0, eta=0.98, beta=0.98, alpha=1.75):
+    frame = np.asarray(frame, dtype=np.float64)
     return step(
         state,
-        np.asarray(frame, dtype=np.float64),
+        frame,
+        np.empty(np.broadcast_shapes(state.prev_denoised.shape, frame.shape)),
         threshold=threshold,
         hangover=hangover,
         eta=eta,
         beta=beta,
+        alpha=alpha,
     )
 
 
