@@ -43,6 +43,8 @@ def read_wav(path) -> AudioBuffer:
         if reader.getcomptype() != "NONE":
             raise WavFormatError(f"{path}: compressed WAV is not supported")
         rate = reader.getframerate()
+        if rate == 0:
+            raise WavFormatError(f"{path}: the header's sample rate is 0 Hz")
         declared = reader.getnframes()
         raw = reader.readframes(declared)
     if len(raw) % 2:

@@ -78,8 +78,14 @@ def _parse_field(name: str, raw: str, where: str):
 
 
 def _parse_config_file(path: str) -> dict:
+    raw_bytes = Path(path).read_bytes()
+    try:
+        text = raw_bytes.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = raw_bytes.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -60,10 +60,7 @@ def segmental_snr_db(clean: np.ndarray, test: np.ndarray, seg_len: int) -> float
     p_signal, p_error = p_signal[voiced], p_error[voiced]
     with np.errstate(divide="ignore"):
         snr = 10.0 * np.log10(p_signal / p_error)
-    values = np.where(
-        p_error == 0.0, SEG_CEIL_DB, np.clip(snr, SEG_FLOOR_DB, SEG_CEIL_DB)
-    )
-    return float(np.mean(values))
+    return float(np.mean(np.clip(snr, SEG_FLOOR_DB, SEG_CEIL_DB)))
 
 
 def gain_report(

@@ -104,9 +104,8 @@ def _run(noisy: np.ndarray, config: DenoiserConfig, kinds):
     """Denoise every row of ``noisy`` (shape ``(inputs, samples)``) with every
     gain in ``kinds``, all streams in lockstep.
 
-    Returns ``(out, speech_frames, num_frames)``: the output, shape
-    ``(kinds, inputs, samples)``, and per input the count of frames taken
-    as speech (hangover included) out of ``num_frames``.
+    Returns ``(out, state)``: the output, shape ``(kinds, inputs, samples)``,
+    and the tracker state after the last frame.
     """
     x = np.asarray(noisy, dtype=np.float64)
     if not np.all(np.isfinite(x)):
@@ -125,26 +124,15 @@ def _run(noisy: np.ndarray, config: DenoiserConfig, kinds):
     frames = stdct.frame_view(x, grid)
     state = tracking.initialize(stdct.dct_forward(frames[:, :init] * window), kinds)
     out = np.zeros((len(kinds), x.shape[0], grid.padded_len))
-    speech_frames = np.zeros(x.shape[0], dtype=np.int64)
     for start in range(0, grid.num_frames, _BLOCK_FRAMES):
         coeffs = stdct.dct_forward(frames[:, start : start + _BLOCK_FRAMES] * window)
         denoised = np.empty((len(state.rows),) + coeffs.shape)
         for j in range(coeffs.shape[1]):
-            _, speech = tracking.step(
-                state,
-                coeffs[:, j],
-                denoised[:, :, j],
-                threshold=config.vad_threshold,
-                hangover=config.vad_hangover,
-                eta=config.eta,
-                beta=config.beta,
-                alpha=config.alpha,
-            )
-            speech_frames += speech
+            tracking.step(state, coeffs[:, j], denoised[:, :, j], config)
         synthesized = stdct.dct_inverse(denoised[: len(kinds)])
         stdct.overlap_add_block(out, synthesized, grid, window, start)
     stdct.overlap_normalize(out, grid, window)
-    return out[..., : x.shape[-1]], speech_frames, grid.num_frames
+    return out[..., : x.shape[-1]], state
 
 
 def denoise_kinds(noisy: np.ndarray, config: DenoiserConfig, kinds) -> np.ndarray:
@@ -157,7 +145,7 @@ def denoise_kinds(noisy: np.ndarray, config: DenoiserConfig, kinds) -> np.ndarra
     x = np.asarray(noisy, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected shape (inputs, samples), got {x.shape}")
-    out, _, _ = _run(x, config, list(kinds))
+    out, _ = _run(x, config, list(kinds))
     return out
 
 
@@ -166,7 +154,7 @@ def denoise(noisy: np.ndarray, config: DenoiserConfig) -> np.ndarray:
     x = np.asarray(noisy, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a mono signal, got shape {x.shape}")
-    out, _, _ = _run(x[None], config, [config.kind])
+    out, _ = _run(x[None], config, [config.kind])
     return out[0, 0]
 
 
@@ -174,8 +162,9 @@ def denoise_file(in_path, out_path, config: DenoiserConfig) -> DenoiseSummary:
     """Read a WAV file, denoise it at the file's sample rate, and write the result."""
     buf = read_wav(in_path)
     config = replace(config, sample_rate=buf.sample_rate)
-    out, speech_frames, num_frames = _run(buf.samples[None], config, [config.kind])
+    out, state = _run(buf.samples[None], config, [config.kind])
     write_wav(out_path, AudioBuffer(out[0, 0], buf.sample_rate))
+    frames = state.frames_seen
     return DenoiseSummary(
-        config.frame_len, config.hop, num_frames, float(speech_frames[0] / num_frames)
+        config.frame_len, config.hop, frames, float(state.speech_frames[0] / frames)
     )

@@ -295,8 +295,6 @@ def _distortion(kind: ShrinkageKind, a: float, clean: float, x: np.ndarray):
         return (shat - clean) ** 2
     if kind is ShrinkageKind.WE:
         return (shat - clean) ** 2 / clean
-    if a == 0.0:
-        return np.full_like(np.asarray(x, dtype=np.float64), np.inf)
     ratio = shat / clean
     if kind is ShrinkageKind.LOG_MSE:
         return np.log(ratio) ** 2
@@ -324,13 +322,16 @@ def unbiasedness_check(
 
     The row's ``_mc_row`` allowance is the ``exp(-c**2)`` truncation allowance
     for squared error, and a 1% relative band for the fourth-order series cut
-    of the other measures.
+    of the other measures.  Only ``mse`` and ``we`` are finite at ``a = 0``;
+    the other measures refuse it, as ``risk_estimate`` refuses ``x = 0``.
     """
     if kind is not ShrinkageKind.MSE and not scene.high_snr:
         raise ValueError(
             f"{kind.value} requires a high-SNR scene "
             f"(|clean| > 2*c*sigma = {2.0 * scene.spec.bound:g})"
         )
+    if a == 0.0 and kind not in (ShrinkageKind.MSE, ShrinkageKind.WE):
+        raise ValueError(f"{kind.value} distortion undefined at a = 0")
     _require_two_samples(n_samples)
     w = sample_truncated_gaussian(scene.spec, n_samples, seed)
     x = scene.clean + w

@@ -32,7 +32,8 @@ class TrackerState:
     frame's denoised coefficients, shape ``(rows, ..., bins)``; the VAD reads
     row ``mse_row``.  ``noise_var`` and ``prev_noisy_sq``, the previous
     frame's squared coefficients, have shape ``(..., bins)``, one row per
-    input; ``hang`` holds the hangover frames left per input.
+    input; ``hang`` holds the hangover frames left per input, and
+    ``speech_frames`` the frames taken as speech so far (hangover included).
     """
 
     rows: list
@@ -41,6 +42,7 @@ class TrackerState:
     prev_denoised: np.ndarray
     prev_noisy_sq: np.ndarray
     hang: np.ndarray
+    speech_frames: np.ndarray
     frames_seen: int = 0
 
 
@@ -66,6 +68,7 @@ def initialize(first_frames: np.ndarray, kinds=()) -> TrackerState:
         prev_denoised=np.zeros((len(rows),) + noise_var.shape),
         prev_noisy_sq=np.zeros_like(noise_var),
         hang=np.zeros(noise_var.shape[:-1], dtype=np.int64),
+        speech_frames=np.zeros(noise_var.shape[:-1], dtype=np.int64),
     )
 
 
@@ -97,40 +100,36 @@ def update_noise(
 
 
 def step(
-    state: TrackerState,
-    frame: np.ndarray,
-    out: np.ndarray,
-    *,
-    threshold: float,
-    hangover: int,
-    eta: float,
-    beta: float,
-    alpha: float,
+    state: TrackerState, frame: np.ndarray, out: np.ndarray, config
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance the tracker by one frame and write each row's denoised ``frame``
     into ``out``, kept as ``prev_denoised``; return ``(inv_xi, speech)``.
 
-    ``speech`` has one flag per input.  An input counts as speech when its
-    VAD statistic exceeds ``threshold`` or for ``hangover`` frames after one
-    that did; its noise variance updates only otherwise.  Each row then has,
-    with the updated variance and ``b = beta`` (``b = 1`` on the first frame),
+    ``config`` is the denoiser's ``DenoiserConfig``; the step reads its
+    ``vad_threshold``, ``vad_hangover``, ``eta``, ``beta`` and ``alpha``.
+    ``speech`` has one flag per input, also added to ``speech_frames``.  An
+    input counts as speech when its VAD statistic exceeds ``vad_threshold``
+    or for ``vad_hangover`` frames after one that did; its noise variance
+    updates with weight ``eta`` only otherwise.  Each row then has, with the
+    updated variance and ``b = beta`` (``b = 1`` on the first frame),
     ``1/xi = b * noise_var/X**2 + (1-b) * max(1 - S_prev**2/X_prev**2, 0)``,
     and ``X = 0`` gives ``1/xi = inf``, so zero gain.  Row ``k`` of ``out`` is
     ``frame`` times the gain of ``rows[k]`` at ``xi`` and ``alpha``.
     """
     x_sq = np.asarray(frame, dtype=np.float64) ** 2
-    raw = vad(x_sq, state) > threshold
+    raw = vad(x_sq, state) > config.vad_threshold
     speech = raw | (state.hang > 0)
-    state.hang = np.where(raw, hangover, np.maximum(state.hang - 1, 0))
-    update_noise(x_sq, speech, state, eta)
-    b = beta if state.frames_seen else 1.0
+    state.hang = np.where(raw, config.vad_hangover, np.maximum(state.hang - 1, 0))
+    state.speech_frames += speech
+    update_noise(x_sq, speech, state, config.eta)
+    b = config.beta if state.frames_seen else 1.0
     nv = state.noise_var
     with np.errstate(divide="ignore", invalid="ignore"):
         prev_sq = state.prev_noisy_sq
         ratio = np.where(prev_sq > 0.0, state.prev_denoised**2 / prev_sq, 0.0)
         residual = np.maximum(1.0 - ratio, 0.0)
         inv = np.where(x_sq > 0.0, b * nv / x_sq + (1.0 - b) * residual, np.inf)
-        np.multiply(gain_rows(state.rows, 1.0 / inv, alpha), frame, out=out)
+        np.multiply(gain_rows(state.rows, 1.0 / inv, config.alpha), frame, out=out)
     state.prev_denoised = out
     state.prev_noisy_sq = x_sq
     state.frames_seen += 1

@@ -1,3 +1,6 @@
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,3 +34,13 @@ def make_voiced(
 @pytest.fixture(scope="session")
 def voiced_buffer() -> AudioBuffer:
     return make_voiced()
+
+
+def write_pcm16_wav(path, ints, sample_rate: int) -> None:
+    """Write a mono PCM-16 WAV header and data with ``struct``, which, unlike
+    ``wave``, takes any rate the header can hold, 0 included."""
+    data = b"".join(struct.pack("<h", v) for v in ints)
+    fmt = struct.pack("<HHIIHH", 1, 1, sample_rate, 2 * sample_rate, 2, 16)
+    chunks = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    chunks += b"data" + struct.pack("<I", len(data)) + data
+    Path(path).write_bytes(b"RIFF" + struct.pack("<I", len(chunks)) + chunks)

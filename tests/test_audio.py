@@ -4,6 +4,7 @@ import wave
 import numpy as np
 import pytest
 
+from conftest import write_pcm16_wav
 from riskshrink.audio import (
     AudioBuffer,
     WavFormatError,
@@ -87,6 +88,18 @@ def test_data_ending_mid_sample_rejected(tmp_path, dropped, message):
     _write_raw(path, [1, 2, 3])
     path.write_bytes(path.read_bytes()[:-dropped])
     with pytest.raises(WavFormatError, match=rf"cut\.wav.*{message}"):
+        read_wav(path)
+
+
+def test_zero_sample_rate_rejected(tmp_path):
+    # the same hand-built header reads at any other rate
+    path = tmp_path / "zero_rate.wav"
+    write_pcm16_wav(path, [0, 16384, -32768], 11025)
+    buf = read_wav(path)
+    np.testing.assert_array_equal(buf.samples, [0.0, 0.5, -1.0])
+    assert buf.sample_rate == 11025
+    write_pcm16_wav(path, [0, 16384, -32768], 0)
+    with pytest.raises(WavFormatError, match=r"zero_rate\.wav: .*sample rate is 0"):
         read_wav(path)
 
 

@@ -2,12 +2,16 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_voiced
+from conftest import make_voiced, write_pcm16_wav
 from riskshrink.audio import AudioBuffer, generate_white_noise, read_wav, write_wav
 from riskshrink.cli import _build_config, _build_parser, main
 from riskshrink.pipeline import DenoiserConfig
@@ -271,6 +275,14 @@ def test_denoise_missing_file_fails_without_output(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_denoise_zero_sample_rate_names_the_file(tmp_path, capsys):
+    src = tmp_path / "zero_rate.wav"
+    write_pcm16_wav(src, [0] * 4000, 0)
+    rc = main(["denoise", "--in", str(src), "--out", str(tmp_path / "o.wav")])
+    assert rc == 1
+    assert f"error: {src}: " in capsys.readouterr().err
+
+
 def test_denoise_valid_run(fixture_wavs, tmp_path, capsys):
     clean, _ = fixture_wavs
     dst = tmp_path / "denoised.wav"
@@ -396,6 +408,17 @@ def test_bad_config_value_names_file_and_line(fixture_wavs, tmp_path, capsys):
     assert f"{cfg}:2: could not convert string to float: 'abc'" in capsys.readouterr().err
 
 
+def test_config_file_not_utf8_names_file_and_line(fixture_wavs, tmp_path, capsys):
+    clean, _ = fixture_wavs
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes("kind=mse\n".encode("utf-16"))  # starts with ff fe
+    with pytest.raises(SystemExit) as exc:
+        main(["denoise", "--in", str(clean), "--out", str(tmp_path / "o.wav"),
+              "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"{cfg}:1: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_sample_rate_is_neither_flag_nor_config_key(fixture_wavs, tmp_path):
     # the WAV header sets the rate
     clean, _ = fixture_wavs
@@ -491,3 +514,29 @@ def test_verify_reports_failure_with_exit_one(monkeypatch, capsys):
     rc = main(["verify", "--samples", "10"])
     assert rc == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# module entry point
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["curves", "--xi-db-range=0:1:1"], 0),
+        (["denoise", "--in", "{tmp}/ghost.wav", "--out", "{tmp}/o.wav"], 1),
+        (["verify", "--samples", "1"], 2),
+    ],
+    ids=["success", "runtime-error", "usage-error"],
+)
+def test_module_entry_point_exit_codes(argv, code, tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "riskshrink.cli"] + [a.format(tmp=tmp_path) for a in argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == code, result.stderr

@@ -402,6 +402,47 @@ def test_denoise_file_speech_fixture(tmp_path, voiced_buffer):
     assert len(read_wav(dst)) == len(noisy)
 
 
+def _voiced_at_10db(voiced_buffer):
+    """The voiced fixture in white noise at 10 dB, mixed as the file tests mix it."""
+    noise = generate_white_noise(len(voiced_buffer) + 4000, 1.0, seed=37)
+    return mix_at_snr(voiced_buffer, noise, 10.0, seed_offset=6)[0]
+
+
+@pytest.mark.parametrize(
+    "overrides, speech_fraction",
+    [
+        ({}, "0x1.ed097b425ed09p-1"),  # 286 of 297 frames
+        ({"vad_hangover": 0}, "0x1.a65b5df3eec2dp-1"),  # 245
+        ({"init_noise_frames": 20}, "0x1.a2e8ba2e8ba2fp-1"),  # 243
+    ],
+)
+def test_denoise_file_summary_pinned(tmp_path, voiced_buffer, overrides, speech_fraction):
+    src = tmp_path / "noisy.wav"
+    write_wav(src, _voiced_at_10db(voiced_buffer))
+    config = DenoiserConfig(kind=ShrinkageKind.IS, **overrides)
+    summary = denoise_file(src, tmp_path / "out.wav", config)
+    assert summary.frames == 297
+    assert summary.speech_fraction.hex() == speech_fraction
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"vad_threshold": 0.5},
+        {"vad_hangover": 0},
+        {"eta": 0.9},
+        {"beta": 0.9},
+        {"alpha": 1.0},
+    ],
+)
+def test_every_tracker_constant_moves_the_output(voiced_buffer, overrides):
+    # each constant the tracker reads from the config must reach it
+    noisy = _voiced_at_10db(voiced_buffer).samples
+    config = DenoiserConfig(kind=ShrinkageKind.IS)
+    moved = denoise(noisy, replace(config, **overrides)) - denoise(noisy, config)
+    assert np.max(np.abs(moved)) > 0.01
+
+
 def test_denoise_file_adopts_file_sample_rate(tmp_path):
     from riskshrink.audio import AudioBuffer
 

@@ -417,6 +417,19 @@ def test_unbiasedness_degenerate_zero_gain():
     assert res.tol == math.exp(-SPEC1.c**2)  # no MC error on top of the allowance
 
 
+@pytest.mark.parametrize("clean", [25.0, -25.0])
+@pytest.mark.parametrize(
+    "kind",
+    [k for k in ShrinkageKind if k not in (ShrinkageKind.MSE, ShrinkageKind.WE)],
+)
+def test_unbiasedness_refuses_zero_gain_where_the_distortion_is_singular(kind, clean):
+    # log and ratio measures have no finite distortion at a = 0, so the row
+    # could not be decided
+    scene = SyntheticScene(clean=clean, spec=SPEC1)
+    with pytest.raises(ValueError, match="a = 0"):
+        unbiasedness_check(kind, 0.0, scene, 100, seed=0)
+
+
 def test_one_draw_is_rejected():
     # the tolerances need a standard error, which one draw does not have
     scene = SyntheticScene(clean=25.0, spec=SPEC1)

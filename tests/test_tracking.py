@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from riskshrink.pipeline import DenoiserConfig
 from riskshrink.shrinkage import ShrinkageKind
 from riskshrink.tracking import TrackerState, initialize, step, vad
 
@@ -19,6 +20,7 @@ def _state(noise_var, prev_denoised=None, prev_noisy=None, frames_seen=1):
         prev_denoised=prev_denoised,
         prev_noisy_sq=zeros if prev_noisy is None else np.asarray(prev_noisy, float) ** 2,
         hang=np.zeros(noise_var.shape[:-1], dtype=np.int64),
+        speech_frames=np.zeros(noise_var.shape[:-1], dtype=np.int64),
         frames_seen=frames_seen,
     )
 
@@ -29,11 +31,13 @@ def _step(state, frame, threshold=0.15, hangover=0, eta=0.98, beta=0.98, alpha=1
         state,
         frame,
         np.empty(np.broadcast_shapes(state.prev_denoised.shape, frame.shape)),
-        threshold=threshold,
-        hangover=hangover,
-        eta=eta,
-        beta=beta,
-        alpha=alpha,
+        DenoiserConfig(
+            vad_threshold=threshold,
+            vad_hangover=hangover,
+            eta=eta,
+            beta=beta,
+            alpha=alpha,
+        ),
     )
 
 
