@@ -29,6 +29,12 @@ def read_wav(path) -> AudioBuffer:
         raise WavFormatError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
     except EOFError:
         raise WavFormatError(f"{path}: truncated RIFF header") from None
+    except RuntimeError:
+        # wave raises a bare RuntimeError when a chunk's declared size would
+        # skip past the end of the RIFF chunk that holds it.
+        raise WavFormatError(
+            f"{path}: a chunk's declared size runs past the end of the RIFF chunk"
+        ) from None
     with reader:
         if reader.getnchannels() != 1:
             raise WavFormatError(

@@ -107,7 +107,7 @@ def _header_rate(path) -> int:
     try:
         with wave.open(str(path), "rb") as reader:
             return reader.getframerate() or DenoiserConfig.sample_rate
-    except (OSError, EOFError, wave.Error):
+    except (OSError, EOFError, RuntimeError, wave.Error):
         return DenoiserConfig.sample_rate
 
 

@@ -100,14 +100,13 @@ class DenoiseSummary:
 _BLOCK_FRAMES = 16
 
 
-def _run(noisy: np.ndarray, config: DenoiserConfig, kinds):
-    """Denoise every row of ``noisy`` (shape ``(inputs, samples)``) with every
-    gain in ``kinds``, all streams in lockstep.
+def _run(x: np.ndarray, config: DenoiserConfig, kinds):
+    """Denoise every row of the float64 array ``x`` (shape ``(inputs,
+    samples)``) with every gain in ``kinds``, all streams in lockstep.
 
     Returns ``(out, state)``: the output, shape ``(kinds, inputs, samples)``,
     and the tracker state after the last frame.
     """
-    x = np.asarray(noisy, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains NaN or Inf samples")
     frame_len, hop = config.frame_len, config.hop

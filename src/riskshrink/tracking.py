@@ -46,18 +46,17 @@ class TrackerState:
     frames_seen: int = 0
 
 
-def initialize(first_frames: np.ndarray, kinds=()) -> TrackerState:
+def initialize(first_frames: np.ndarray, kinds) -> TrackerState:
     """Build initial state from leading frames assumed to contain only noise.
 
-    ``first_frames`` has shape ``(..., frames, bins)``; the per-bin variance
-    of each input is the average squared coefficient over all its frames.
-    The rows are ``kinds`` in their order, repeats included, then mse when
-    ``kinds`` lacks it; ``prev_denoised`` starts as one zero row each.
+    ``first_frames`` is a float array of shape ``(..., frames, bins)`` with at
+    least one frame, as ``DenoiserConfig.init_noise_frames`` guarantees; the
+    per-bin variance of each input is the average squared coefficient over
+    all its frames.  The rows are ``kinds`` in their order, repeats included,
+    then mse when ``kinds`` lacks it; ``prev_denoised`` starts as one zero
+    row each.
     """
-    frames = np.atleast_2d(np.asarray(first_frames, dtype=np.float64))
-    if frames.shape[-2] == 0:
-        raise ValueError("need at least one initialization frame, got 0")
-    noise_var = np.mean(frames**2, axis=-2)
+    noise_var = np.mean(first_frames**2, axis=-2)
     rows = list(kinds)
     if ShrinkageKind.MSE not in rows:
         rows.append(ShrinkageKind.MSE)
@@ -116,7 +115,7 @@ def step(
     and ``X = 0`` gives ``1/xi = inf``, so zero gain.  Row ``k`` of ``out`` is
     ``frame`` times the gain of ``rows[k]`` at ``xi`` and ``alpha``.
     """
-    x_sq = np.asarray(frame, dtype=np.float64) ** 2
+    x_sq = frame**2
     raw = vad(x_sq, state) > config.vad_threshold
     speech = raw | (state.hang > 0)
     state.hang = np.where(raw, config.vad_hangover, np.maximum(state.hang - 1, 0))

@@ -3,8 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from riskshrink.audio import AudioBuffer
+
+# Property tests draw the same examples on every run, so CI never meets a
+# failure that the next run cannot reproduce.
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 
 def make_voiced(
@@ -44,3 +50,12 @@ def write_pcm16_wav(path, ints, sample_rate: int) -> None:
     chunks = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
     chunks += b"data" + struct.pack("<I", len(data)) + data
     Path(path).write_bytes(b"RIFF" + struct.pack("<I", len(chunks)) + chunks)
+
+
+def write_overlong_fmt_wav(path) -> None:
+    """Write a mono PCM-16 file of four samples whose ``fmt `` chunk declares
+    211 bytes, more than the RIFF chunk holds after it."""
+    write_pcm16_wav(path, [0, 1, -1, 0], 8000)
+    raw = bytearray(Path(path).read_bytes())
+    raw[16:20] = struct.pack("<I", 211)
+    Path(path).write_bytes(bytes(raw))

@@ -3,8 +3,9 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import write_pcm16_wav
+from conftest import write_overlong_fmt_wav, write_pcm16_wav
 from riskshrink.audio import (
     AudioBuffer,
     WavFormatError,
@@ -89,6 +90,38 @@ def test_data_ending_mid_sample_rejected(tmp_path, dropped, message):
     path.write_bytes(path.read_bytes()[:-dropped])
     with pytest.raises(WavFormatError, match=rf"cut\.wav.*{message}"):
         read_wav(path)
+
+
+def test_chunk_past_the_riff_end_rejected(tmp_path):
+    # wave itself raises a message-less RuntimeError on this file
+    path = tmp_path / "long_fmt.wav"
+    write_overlong_fmt_wav(path)
+    with pytest.raises(WavFormatError, match=r"long_fmt\.wav: .*past the end"):
+        read_wav(path)
+
+
+@pytest.fixture(scope="module")
+def valid_wav(tmp_path_factory):
+    """A path to overwrite and the 52 bytes of a valid 4-sample file."""
+    path = tmp_path_factory.mktemp("corrupt") / "corrupt.wav"
+    write_pcm16_wav(path, [0, 1, -1, 0], 8000)
+    return path, path.read_bytes()
+
+
+@given(
+    edits=st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)), max_size=4),
+    cut=st.integers(0, 52),
+)
+def test_corrupt_header_is_read_or_refused(valid_wav, edits, cut):
+    path, valid = valid_wav
+    raw = bytearray(valid)
+    for pos, value in edits:
+        raw[pos] = value
+    path.write_bytes(bytes(raw[: len(raw) - cut]))
+    try:
+        read_wav(path)
+    except WavFormatError:
+        pass
 
 
 def test_zero_sample_rate_rejected(tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_voiced, write_pcm16_wav
+from conftest import make_voiced, write_overlong_fmt_wav, write_pcm16_wav
 from riskshrink.audio import AudioBuffer, generate_white_noise, read_wav, write_wav
 from riskshrink.cli import _build_config, _build_parser, main
 from riskshrink.pipeline import DenoiserConfig
@@ -521,6 +521,18 @@ def test_verify_reports_failure_with_exit_one(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 
 
+def _run_module(argv):
+    """Run ``python -m riskshrink.cli`` on ``argv`` from this checkout."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "riskshrink.cli"] + argv,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -531,12 +543,22 @@ def test_verify_reports_failure_with_exit_one(monkeypatch, capsys):
     ids=["success", "runtime-error", "usage-error"],
 )
 def test_module_entry_point_exit_codes(argv, code, tmp_path):
-    src = Path(__file__).resolve().parents[1] / "src"
-    result = subprocess.run(
-        [sys.executable, "-m", "riskshrink.cli"] + [a.format(tmp=tmp_path) for a in argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    result = _run_module([a.format(tmp=tmp_path) for a in argv])
     assert result.returncode == code, result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["denoise", "--in", "{bad}", "--out", "{tmp}/o.wav"],
+        ["evaluate", "--clean", "{bad}", "--noise", "{bad}", "--out-csv", "{tmp}/o.csv"],
+    ],
+    ids=["denoise", "evaluate"],
+)
+def test_chunk_past_the_riff_end_names_the_file(argv, tmp_path):
+    bad = tmp_path / "long_fmt.wav"
+    write_overlong_fmt_wav(bad)
+    result = _run_module([a.format(bad=bad, tmp=tmp_path) for a in argv])
+    assert result.returncode == 1
+    assert f"error: {bad}: " in result.stderr
+    assert "Traceback" not in result.stderr
