@@ -10,7 +10,6 @@ import csv
 import json
 import math
 import sys
-import wave
 from contextlib import nullcontext
 from dataclasses import fields
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import risklab
-from .audio import WavFormatError, mix_at_snr, read_wav
+from .audio import WavFormatError, mix_at_snr, read_wav, read_wav_header
 from .metrics import GainReport, gain_report
 from .pipeline import DenoiserConfig, denoise_file, denoise_kinds
 from .shrinkage import ShrinkageKind, gain_rows
@@ -105,9 +104,9 @@ def _header_rate(path) -> int:
     there is none: a bad flag is then still a usage error, and the file's own
     fault is reported when ``denoise_file`` reads it."""
     try:
-        with wave.open(str(path), "rb") as reader:
-            return reader.getframerate() or DenoiserConfig.sample_rate
-    except (OSError, EOFError, RuntimeError, wave.Error):
+        with open(path, "rb") as f:
+            return read_wav_header(f, path)[0] or DenoiserConfig.sample_rate
+    except (OSError, WavFormatError):
         return DenoiserConfig.sample_rate
 
 

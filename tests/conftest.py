@@ -42,14 +42,32 @@ def voiced_buffer() -> AudioBuffer:
     return make_voiced()
 
 
-def write_pcm16_wav(path, ints, sample_rate: int) -> None:
+# Sub-format GUIDs of a WAVE_FORMAT_EXTENSIBLE ``fmt `` chunk.
+PCM_GUID = bytes.fromhex("0100000000001000800000aa00389b71")
+IEEE_FLOAT_GUID = bytes.fromhex("0300000000001000800000aa00389b71")
+
+
+def write_pcm16_wav(path, ints, sample_rate: int, subformat=None, chunks=b"") -> None:
     """Write a mono PCM-16 WAV header and data with ``struct``, which, unlike
-    ``wave``, takes any rate the header can hold, 0 included."""
+    ``wave``, takes any rate the header can hold, 0 included.  With a
+    ``subformat`` GUID the ``fmt `` chunk is WAVE_FORMAT_EXTENSIBLE; the raw
+    ``chunks`` go between ``fmt `` and ``data``."""
     data = b"".join(struct.pack("<h", v) for v in ints)
-    fmt = struct.pack("<HHIIHH", 1, 1, sample_rate, 2 * sample_rate, 2, 16)
-    chunks = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    tag = 1 if subformat is None else 0xFFFE
+    byte_rate = 2 * sample_rate % 2**32
+    fmt = struct.pack("<HHIIHH", tag, 1, sample_rate, byte_rate, 2, 16)
+    if subformat is not None:
+        # cbSize, valid bits per sample, channel mask (front centre), GUID
+        fmt += struct.pack("<HHI", 22, 16, 4) + subformat
+    chunks = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + chunks
     chunks += b"data" + struct.pack("<I", len(data)) + data
     Path(path).write_bytes(b"RIFF" + struct.pack("<I", len(chunks)) + chunks)
+
+
+def list_chunk(payload: bytes) -> bytes:
+    """A ``LIST`` chunk holding ``payload``, with the pad byte an odd size
+    needs."""
+    return b"LIST" + struct.pack("<I", len(payload)) + payload + b"\0" * (len(payload) % 2)
 
 
 def write_overlong_fmt_wav(path) -> None:

@@ -1,11 +1,19 @@
+import re
 import struct
+import tracemalloc
 import wave
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import write_overlong_fmt_wav, write_pcm16_wav
+from conftest import (
+    IEEE_FLOAT_GUID,
+    PCM_GUID,
+    list_chunk,
+    write_overlong_fmt_wav,
+    write_pcm16_wav,
+)
 from riskshrink.audio import (
     AudioBuffer,
     WavFormatError,
@@ -134,6 +142,140 @@ def test_zero_sample_rate_rejected(tmp_path):
     write_pcm16_wav(path, [0, 16384, -32768], 0)
     with pytest.raises(WavFormatError, match=r"zero_rate\.wav: .*sample rate is 0"):
         read_wav(path)
+
+
+@pytest.mark.parametrize("rate", [2**31, 3_000_000_000, 2**32 - 1])
+def test_rate_beyond_the_byte_rate_field_rejected(tmp_path, rate):
+    # the byte-rate field holds 2 * rate in 32 bits: 2**31 - 1 Hz is the last
+    # rate a file can state consistently, and the last one write_wav takes
+    path = tmp_path / "fast.wav"
+    write_pcm16_wav(path, [0, 16384], 2**31 - 1)
+    assert read_wav(path).sample_rate == 2**31 - 1
+    write_pcm16_wav(path, [0, 16384], rate)
+    with pytest.raises(WavFormatError, match=rf"fast\.wav: .*sample rate is {rate} Hz"):
+        read_wav(path)
+
+
+def test_declared_size_beyond_the_file_is_refused_without_reading_it(tmp_path):
+    # a 60-byte file whose RIFF and data chunks claim about 4 GiB, as a
+    # streaming writer that never patched its header leaves them: the read is
+    # bounded by the 8 data bytes the file holds, not by the declared size
+    path = tmp_path / "huge.wav"
+    write_pcm16_wav(path, [0, 1, -1, 0], 8000, chunks=b"JUNK" + struct.pack("<I", 0))
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 0xFFFFFFFF)
+    raw[48:52] = struct.pack("<I", 0xFFFFFFF0)
+    path.write_bytes(bytes(raw))
+    assert len(raw) == 60
+    tracemalloc.start()
+    try:
+        with pytest.raises(WavFormatError, match=r"huge\.wav: truncated file, .* holds 4 of"):
+            read_wav(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_extensible_pcm_reads_back_exactly(tmp_path):
+    path = tmp_path / "ext.wav"
+    write_pcm16_wav(path, [0, 16384, -32768, 7], 22050, subformat=PCM_GUID)
+    buf = read_wav(path)
+    np.testing.assert_array_equal(buf.samples, np.array([0, 16384, -32768, 7]) / 32768.0)
+    assert buf.sample_rate == 22050
+
+
+def test_extensible_float_rejected(tmp_path):
+    path = tmp_path / "float.wav"
+    write_pcm16_wav(path, [0, 16384, -32768, 7], 22050, subformat=IEEE_FLOAT_GUID)
+    with pytest.raises(WavFormatError, match=r"float\.wav: "):
+        read_wav(path)
+
+
+def test_odd_sized_chunk_is_skipped_with_its_pad_byte(tmp_path):
+    path = tmp_path / "list.wav"
+    write_pcm16_wav(path, [3, -3, 32767], 16000, chunks=list_chunk(b"INFOabc"))
+    buf = read_wav(path)
+    np.testing.assert_array_equal(buf.samples, np.array([3, -3, 32767]) / 32768.0)
+    assert buf.sample_rate == 16000
+
+
+def _wave_read_wav(path) -> AudioBuffer:
+    """``read_wav`` as it was built on the standard library's ``wave``: the
+    reference that the chunk walker is checked against."""
+    try:
+        reader = wave.open(str(path), "rb")
+    except (wave.Error, EOFError, RuntimeError):
+        raise WavFormatError(path) from None
+    with reader:
+        if (reader.getnchannels(), reader.getsampwidth(), reader.getcomptype()) != (
+            1, 2, "NONE"
+        ) or reader.getframerate() == 0:
+            raise WavFormatError(path)
+        rate, declared = reader.getframerate(), reader.getnframes()
+        raw = reader.readframes(declared)
+    if len(raw) != 2 * declared:
+        raise WavFormatError(path)
+    return AudioBuffer(np.frombuffer(raw, dtype="<i2") / 32768.0, rate)
+
+
+@pytest.fixture(scope="module")
+def oracle_wavs(tmp_path_factory):
+    """A path to overwrite, and the bytes of two valid files: four samples,
+    and three behind an odd-sized ``LIST`` chunk and its pad byte."""
+    path = tmp_path_factory.mktemp("oracle") / "mutant.wav"
+    valid = []
+    for ints, chunks in (([0, 1, -1, 0], b""), ([5, -7, 300], list_chunk(b"abc"))):
+        write_pcm16_wav(path, ints, 11025, chunks=chunks)
+        valid.append(path.read_bytes())
+    return path, valid
+
+
+@settings(max_examples=1000)
+@given(data=st.data())
+def test_read_matches_the_wave_reader_on_corrupt_files(oracle_wavs, data):
+    path, valid = oracle_wavs
+    raw = bytearray(data.draw(st.sampled_from(valid)))
+    edits = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255))
+    for pos, value in data.draw(st.lists(edits, max_size=4)):
+        raw[pos] = value
+    path.write_bytes(bytes(raw[: len(raw) - data.draw(st.integers(0, len(raw)))]))
+    try:
+        expected = _wave_read_wav(path)
+    except WavFormatError:
+        expected = None
+    # The one exemption: wave reads a rate above 2**31 - 1 Hz, which the
+    # byte-rate field cannot hold and read_wav refuses.
+    if expected is None or expected.sample_rate > 2**31 - 1:
+        with pytest.raises(WavFormatError, match=re.escape(f"{path}: ")):
+            read_wav(path)
+    else:
+        buf = read_wav(path)
+        assert buf.sample_rate == expected.sample_rate
+        assert buf.samples.tobytes() == expected.samples.tobytes()
+
+
+@pytest.mark.parametrize("rate", [0, -8000, 2**31])
+def test_write_refuses_a_rate_the_header_cannot_hold(tmp_path, rate):
+    path = tmp_path / "o.wav"
+    with pytest.raises(ValueError, match="sample rate"):
+        write_wav(path, AudioBuffer(np.zeros(4), rate))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("rate", [1, 8000, 11025, 16000, 44100, 2**31 - 1])
+def test_write_matches_the_wave_writer(tmp_path, rate):
+    rng = np.random.default_rng(29)
+    ours, ref = tmp_path / "ours.wav", tmp_path / "ref.wav"
+    for n in (0, 1, 3, 4096, 320_000):
+        ints = rng.integers(-32768, 32768, size=n)
+        write_wav(ours, AudioBuffer(ints / 32768.0, rate))
+        with wave.open(str(ref), "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(rate)
+            w.writeframes(ints.astype("<i2").tobytes())
+        assert ours.read_bytes() == ref.read_bytes(), n
 
 
 def test_clipping_on_write(tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_voiced, write_overlong_fmt_wav, write_pcm16_wav
+from conftest import PCM_GUID, make_voiced, write_overlong_fmt_wav, write_pcm16_wav
 from riskshrink.audio import AudioBuffer, generate_white_noise, read_wav, write_wav
 from riskshrink.cli import _build_config, _build_parser, main
 from riskshrink.pipeline import DenoiserConfig
@@ -326,6 +326,19 @@ def test_denoise_geometry_refused_at_the_file_rate_is_usage_error(tmp_path, caps
     assert "at 8000 Hz give frame_len=1 and hop=0" in capsys.readouterr().err
 
 
+def test_denoise_takes_the_rate_of_an_extensible_header(tmp_path, capsys):
+    # 0.1 ms is a 4-sample frame with a 1-sample hop at 44.1 kHz, and is
+    # refused at the default 8 kHz
+    src, dst = tmp_path / "ext.wav", tmp_path / "out.wav"
+    noise = generate_white_noise(4410, 0.05, seed=44, sample_rate=44100)
+    ints = np.round(noise.samples * 32768).astype(int)
+    write_pcm16_wav(src, ints, 44100, subformat=PCM_GUID)
+    assert main(["denoise", "--in", str(src), "--out", str(dst), "--frame-ms", "0.1"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["frame_len"], summary["hop"]) == (4, 1)
+    assert len(read_wav(dst)) == 4410
+
+
 def test_evaluate_at_11025_hz(tmp_path):
     clean, noise = tmp_path / "clean.wav", tmp_path / "noise.wav"
     write_wav(clean, make_voiced(11025))
@@ -562,3 +575,17 @@ def test_chunk_past_the_riff_end_names_the_file(argv, tmp_path):
     assert result.returncode == 1
     assert f"error: {bad}: " in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_rate_beyond_the_byte_rate_field_names_the_file(tmp_path):
+    # 3e9 Hz makes 0.00001 ms a 30-sample frame; the byte-rate field cannot
+    # hold 2 * 3e9, so the file is refused before any output is written
+    src, dst = tmp_path / "fast.wav", tmp_path / "o.wav"
+    write_pcm16_wav(src, [0, 100, -100, 0] * 1000, 3_000_000_000)
+    result = _run_module(
+        ["denoise", "--in", str(src), "--out", str(dst), "--frame-ms", "0.00001"]
+    )
+    assert result.returncode == 1
+    assert f"error: {src}: " in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not dst.exists()
