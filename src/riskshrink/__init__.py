@@ -17,7 +17,7 @@ from .risklab import (
     sample_truncated_gaussian,
     unbiasedness_check,
 )
-from .shrinkage import BACKEND, ShrinkageKind, gain, gain_rows
+from .shrinkage import BACKEND, ShrinkageKind, gain_rows
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "denoise",
     "denoise_file",
     "denoise_kinds",
-    "gain",
     "gain_rows",
     "gain_report",
     "generate_white_noise",

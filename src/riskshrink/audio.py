@@ -83,11 +83,14 @@ def read_wav(path) -> AudioBuffer:
 
 
 def write_wav(path, buffer: AudioBuffer) -> None:
-    """Write mono PCM-16, rounding half away from zero and clipping."""
+    """Write mono PCM-16, rounding half away from zero and clipping (so
+    ``+-inf`` is full scale); a NaN sample is refused."""
     rate = buffer.sample_rate
     if not 1 <= rate <= _MAX_RATE:
         raise ValueError(f"sample rate {rate} Hz is outside 1 to {_MAX_RATE}")
     x = np.asarray(buffer.samples, dtype=np.float64) * _FULL_SCALE
+    if np.isnan(x).any():
+        raise ValueError("samples must not be NaN")
     q = np.copysign(np.floor(np.abs(x) + 0.5), x)
     q = np.clip(q, -32768, 32767).astype("<i2")
     header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + q.nbytes, b"WAVE", b"fmt ",

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shrinkage import ShrinkageKind, gain
+from .shrinkage import ShrinkageKind, gain_rows
 
 # Draws the rejection sampler may take in its first batch: 1e8 float64 draws
 # are 800 MB, ten times the largest batch verify takes (1e7 samples at c = 5).
 # A smaller c keeps so few draws that no batch it needs could be allocated.
 _MAX_DRAWS = 100_000_000
 
-# Measures optimized toward a maximum when the clean coefficient is negative.
+# Measures optimized toward a maximum when the observation is negative.
 _MAXIMIZED_WHEN_NEGATIVE = frozenset({ShrinkageKind.WE, ShrinkageKind.WCOSH})
 
 
@@ -211,7 +211,8 @@ def risk_estimate(kind: ShrinkageKind, a, x, sigma: float, clean=None):
     Without ``clean`` the value omits the a-independent signal terms and bare
     constants, which is all the minimizer needs; with ``clean`` the full
     expression is returned (required for unbiasedness comparisons).  A
-    non-finite ``x`` is refused, and so is ``x = 0`` except for squared error.
+    non-finite ``x`` or ``sigma``, a negative ``sigma``, and ``x = 0`` except
+    for squared error are refused; ``sigma = 0`` is the noiseless limit.
     Singular ``a = 0`` endpoints come out as infinities of the appropriate
     sign, the IEEE limits of the expressions, for ``x`` whose polynomials in
     ``sigma**2 / x**2`` stay finite (``|x|`` above about ``1e-38 * sigma``).
@@ -220,6 +221,8 @@ def risk_estimate(kind: ShrinkageKind, a, x, sigma: float, clean=None):
     x = np.asarray(x, dtype=np.float64)
     if not np.all((a >= 0.0) & (a <= 1.0)):
         raise ValueError(f"gain candidate must lie in [0, 1], got {a}")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{kind.value} risk estimate undefined at non-finite X")
     if kind is not ShrinkageKind.MSE and np.any(x == 0.0):
@@ -259,24 +262,20 @@ def risk_estimate(kind: ShrinkageKind, a, x, sigma: float, clean=None):
 
 
 def oracle_argmin(
-    kind: ShrinkageKind,
-    x: float,
-    sigma: float,
-    sign_of_clean: int = 1,
-    grid_step: float = 1e-4,
+    kind: ShrinkageKind, x: float, sigma: float, grid_step: float = 1e-4
 ) -> float:
     """Exhaustive grid search for the constrained-optimal gain.
 
-    Minimizes the risk estimate over an even grid on [0, 1]; for the weighted
-    measures with a negative clean coefficient the optimum is a maximum
-    instead.  Ties break toward the smaller gain.
+    Minimizes the risk estimate over an even grid on [0, 1].  The clean sign
+    is taken from ``x``: for the weighted measures at a negative ``x`` the
+    optimum is a maximum instead.  Ties break toward the smaller gain.
     """
     if not 0.0 < grid_step <= 0.5:
         raise ValueError(f"grid_step must be in (0, 0.5], got {grid_step}")
     npts = int(round(1.0 / grid_step)) + 1
     grid = np.linspace(0.0, 1.0, npts)
     values = risk_estimate(kind, grid, x, sigma)
-    if sign_of_clean < 0 and kind in _MAXIMIZED_WHEN_NEGATIVE:
+    if x < 0.0 and kind in _MAXIMIZED_WHEN_NEGATIVE:
         idx = int(np.argmax(values))
     else:
         idx = int(np.argmin(values))
@@ -409,20 +408,23 @@ def verification_suite(n_samples: int, seed: int, grid_step: float) -> list[Chec
                 sub += 1
                 rows.append(generalized_stein_check(f_id, n, spec, n_samples, sub))
 
-    # closed-form gains against the grid oracle
+    # closed-form gains against the grid oracle, one gain_rows call for every
+    # scene; the grid search stays per scene (200 grids of step 1e-6: 1.6 GB)
+    kinds = list(ShrinkageKind)
     rng = np.random.default_rng(seed + 7_001)
-    for kind in ShrinkageKind:
-        worst = 0.0
-        for _ in range(_ORACLE_SCENES):
-            sigma = rng.uniform(0.5, 2.0)
-            xi = 10.0 ** rng.uniform(math.log10(25.0), 5.0)
-            sign = 1 if rng.random() < 0.5 else -1
-            x = sign * sigma * math.sqrt(xi)
-            dev = abs(gain(kind, xi) - oracle_argmin(kind, x, sigma, sign, grid_step))
-            worst = max(worst, dev)
-        rows.append(
-            CheckResult(f"oracle:{kind.value}", worst, 0.0, grid_step + 1e-6)
+    scenes = np.array([
+        (rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(math.log10(25.0), 5.0), rng.random())
+        for _ in range(len(kinds) * _ORACLE_SCENES)
+    ])
+    sigma, xi, coin = scenes.T.reshape(3, len(kinds), _ORACLE_SCENES)
+    x = np.where(coin < 0.5, sigma, -sigma) * np.sqrt(xi)
+    gains = gain_rows(kinds, xi).tolist()
+    for kind, g, xs, sigmas in zip(kinds, gains, x.tolist(), sigma.tolist()):
+        worst = max(
+            abs(gk - oracle_argmin(kind, xk, sk, grid_step))
+            for gk, xk, sk in zip(g, xs, sigmas)
         )
+        rows.append(CheckResult(f"oracle:{kind.value}", worst, 0.0, grid_step + 1e-6))
 
     # unbiasedness on high-SNR scenes
     for kind in ShrinkageKind:
@@ -437,12 +439,11 @@ def verification_suite(n_samples: int, seed: int, grid_step: float) -> list[Chec
     rows.append(high_snr_event_check(scene, n_samples, sub))
 
     # gain point values and asymptotes
-    for kind in ShrinkageKind:
+    points = gain_rows(kinds, np.tile([10.0, 1e9], (len(kinds), 1))).tolist()
+    for kind, (at_10, at_1e9) in zip(kinds, points):
         rows.append(
-            CheckResult(
-                f"gain:{kind.value}:xi=10", gain(kind, 10.0), GAIN_POINT_XI10[kind], 1e-6
-            )
+            CheckResult(f"gain:{kind.value}:xi=10", at_10, GAIN_POINT_XI10[kind], 1e-6)
         )
-        rows.append(CheckResult(f"gain:{kind.value}:xi=1e9", gain(kind, 1e9), 1.0, 1e-6))
+        rows.append(CheckResult(f"gain:{kind.value}:xi=1e9", at_1e9, 1.0, 1e-6))
 
     return rows

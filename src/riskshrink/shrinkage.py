@@ -3,11 +3,11 @@
 Each measure maps an a-posteriori SNR ``xi = X**2 / sigma**2`` to a gain in
 ``[0, 1]`` applied multiplicatively to the DCT coefficient.  The parametric
 refinement divides ``xi`` by ``alpha`` before evaluating the unit-alpha
-formula, so ``gain(kind, xi, alpha) == gain(kind, xi / alpha, 1.0)`` exactly.
+formula, so ``(xi, alpha)`` and ``(xi / alpha, 1.0)`` give the same gain exactly.
 
 Each gain is a clamp and a power of one polynomial in ``u = alpha / xi``, one
-entry of ``_GAINS``.  :func:`gain_rows` evaluates a kind per row of a stack;
-:func:`gain` is its one-value case.
+entry of ``_GAINS``.  :func:`gain_rows`, the one way into the table, evaluates
+a kind per row of a stack.
 """
 
 import enum
@@ -46,12 +46,6 @@ _GAINS = {
     ShrinkageKind.WCOSH: lambda u: 1.0 / np.sqrt(
         np.maximum((((8400.0 * u + 420.0) * u + 3.0) * u - 1.0) * u + 1.0, 1.0)),
 }
-
-
-def gain(kind: ShrinkageKind, xi: float, alpha: float = 1.0) -> float:
-    """Gain in [0, 1] for one a-posteriori SNR value: :func:`gain_rows` on the
-    one row ``[xi]``, as a Python float."""
-    return float(gain_rows([kind], [xi], alpha)[0])
 
 
 def gain_rows(kinds, xi: np.ndarray, alpha: float = 1.0) -> np.ndarray:

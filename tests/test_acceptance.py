@@ -24,7 +24,7 @@ from riskshrink.risklab import (
     oracle_argmin,
     unbiasedness_check,
 )
-from riskshrink.shrinkage import ShrinkageKind, gain
+from riskshrink.shrinkage import ShrinkageKind, gain_rows
 from riskshrink.stdct import (
     dct_forward,
     dct_inverse,
@@ -74,15 +74,18 @@ def test_kkt_oracle_equivalence():
     rng = np.random.default_rng(2026)
     worst_by_kind = {}
     for kind in ShrinkageKind:
-        worst = 0.0
+        scenes = []
         for _ in range(200):
             sigma = rng.uniform(0.5, 2.0)
             xi = 10.0 ** rng.uniform(math.log10(25.0), 5.0)
             sign = 1 if rng.random() < 0.5 else -1
-            x = sign * sigma * math.sqrt(xi)
-            dev = abs(gain(kind, xi) - oracle_argmin(kind, x, sigma, sign, grid_step))
-            worst = max(worst, dev)
-        worst_by_kind[kind.value] = worst
+            scenes.append((sigma, xi, sign * sigma * math.sqrt(xi)))
+        sigmas, xis, xs = zip(*scenes)
+        gains = gain_rows([kind], [xis])[0].tolist()
+        worst_by_kind[kind.value] = max(
+            abs(g - oracle_argmin(kind, x, sigma, grid_step))
+            for sigma, x, g in zip(sigmas, xs, gains)
+        )
     elapsed = time.perf_counter() - t0
     bad = {k: v for k, v in worst_by_kind.items() if v > tol}
     _criterion(
@@ -126,9 +129,10 @@ def test_shrinkage_point_values():
     }
     bad = []
     for kind, value in expected.items():
-        if abs(gain(kind, 10.0) - value) > 1e-6:
+        at_10, at_1e9 = gain_rows([kind], [[10.0, 1e9]])[0].tolist()
+        if abs(at_10 - value) > 1e-6:
             bad.append(f"{kind.value}@10")
-        if abs(gain(kind, 1e9) - 1.0) > 1e-6:
+        if abs(at_1e9 - 1.0) > 1e-6:
             bad.append(f"{kind.value}@1e9")
     _criterion("shrinkage-point-values", not bad, f"failures={bad}")
 

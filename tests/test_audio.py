@@ -278,12 +278,19 @@ def test_write_matches_the_wave_writer(tmp_path, rate):
         assert ours.read_bytes() == ref.read_bytes(), n
 
 
+def test_write_refuses_nan_without_leaving_a_file(tmp_path):
+    path = tmp_path / "nan.wav"
+    with pytest.raises(ValueError, match="NaN"):
+        write_wav(path, AudioBuffer(np.array([0.0, np.nan, 0.5]), 8000))
+    assert not path.exists()
+
+
 def test_clipping_on_write(tmp_path):
     path = tmp_path / "clip.wav"
-    write_wav(path, AudioBuffer(np.array([1.5, -1.5]), 8000))
+    write_wav(path, AudioBuffer(np.array([1.5, -1.5, np.inf, -np.inf]), 8000))
     with wave.open(str(path), "rb") as w:
-        vals = np.frombuffer(w.readframes(2), dtype="<i2")
-    assert vals.tolist() == [32767, -32768]
+        vals = np.frombuffer(w.readframes(4), dtype="<i2")
+    assert vals.tolist() == [32767, -32768, 32767, -32768]
 
 
 def test_round_half_away_from_zero(tmp_path):

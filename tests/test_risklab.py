@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from riskshrink import risklab
@@ -21,7 +22,7 @@ from riskshrink.risklab import (
     unbiasedness_check,
     verification_suite,
 )
-from riskshrink.shrinkage import ShrinkageKind
+from riskshrink.shrinkage import ShrinkageKind, gain_rows
 
 SPEC1 = TruncatedGaussianSpec(sigma=1.0, c=5.0)
 
@@ -282,6 +283,21 @@ def test_oracle_rejects_non_finite_observation():
         oracle_argmin(ShrinkageKind.IS, math.inf, 1.0)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, -1.0])
+def test_non_finite_or_negative_sigma_rejected(sigma):
+    for kind in ShrinkageKind:
+        with pytest.raises(ValueError, match="sigma"):
+            risk_estimate(kind, 0.5, 3.0, sigma)
+        with pytest.raises(ValueError, match="sigma"):
+            oracle_argmin(kind, 3.0, sigma)
+
+
+@pytest.mark.parametrize("x", [3.0, -3.0])
+def test_zero_sigma_is_the_noiseless_limit(x):
+    for kind in ShrinkageKind:
+        assert oracle_argmin(kind, x, 0.0) == 1.0
+
+
 def test_gain_candidate_range_checked():
     with pytest.raises(ValueError):
         risk_estimate(ShrinkageKind.MSE, 1.5, 1.0, 1.0)
@@ -317,8 +333,8 @@ def test_oracle_is_near_closed_form():
 
 
 def test_oracle_negative_clean_weighted_measures():
-    # for WE/WCOSH a negative clean coefficient flips min to max; the result
-    # must still match the closed form
+    # for WE/WCOSH a negative observation flips min to max; the result must
+    # still match the closed form
     xi = 50.0
     x = -math.sqrt(xi)
     for kind, closed in (
@@ -328,8 +344,23 @@ def test_oracle_negative_clean_weighted_measures():
             min(1.0, (1.0 - 1 / xi + 3 / xi**2 + 420 / xi**3 + 8400 / xi**4) ** -0.5),
         ),
     ):
-        found = oracle_argmin(kind, x, 1.0, sign_of_clean=-1)
+        found = oracle_argmin(kind, x, 1.0)
         assert abs(found - closed) <= 1e-4
+
+
+@pytest.mark.parametrize("grid_step", [1e-2, 1e-3, 0.05])
+@pytest.mark.parametrize("kind", list(ShrinkageKind))
+@settings(max_examples=100)
+@given(
+    ratio=st.floats(0.1, 1000.0),
+    sigma=st.floats(0.01, 100.0),
+)
+def test_oracle_is_symmetric_in_the_sign_of_x(kind, grid_step, ratio, sigma):
+    # the clean sign is read from x: -x finds the gain of x, bit for bit
+    x = ratio * sigma
+    assert oracle_argmin(kind, -x, sigma, grid_step=grid_step) == oracle_argmin(
+        kind, x, sigma, grid_step=grid_step
+    )
 
 
 @pytest.mark.parametrize("xi", [2.0, 5.0, 10.0])
@@ -338,10 +369,8 @@ def test_oracle_matches_closed_form_at_interior_points(kind, xi):
     # low a-posteriori SNRs exercise the non-clamped branches (and the
     # clamped ones) of every gain; the constrained optimum of the estimate
     # must sit at the closed form regardless
-    from riskshrink.shrinkage import gain
-
     found = oracle_argmin(kind, math.sqrt(xi), 1.0)
-    assert abs(found - gain(kind, xi)) <= 1e-4 + 1e-6
+    assert abs(found - gain_rows([kind], [xi])[0]) <= 1e-4 + 1e-6
 
 
 def test_oracle_grid_step_validation():

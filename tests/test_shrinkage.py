@@ -6,7 +6,7 @@ import pytest
 
 import riskshrink
 from riskshrink.risklab import oracle_argmin
-from riskshrink.shrinkage import ShrinkageKind, gain, gain_rows
+from riskshrink.shrinkage import ShrinkageKind, gain_rows
 
 ALL_KINDS = list(ShrinkageKind)
 
@@ -24,18 +24,18 @@ POINT_XI10 = {
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_point_values_at_xi_10(kind):
-    assert gain(kind, 10.0) == pytest.approx(POINT_XI10[kind], abs=1e-6)
+    assert gain_rows([kind], [10.0])[0] == pytest.approx(POINT_XI10[kind], abs=1e-6)
 
 
 def test_mse_examples():
-    assert gain(ShrinkageKind.MSE, 2.0) == pytest.approx(0.5, abs=1e-15)
-    assert gain(ShrinkageKind.MSE, 0.5) == 0.0
+    assert gain_rows([ShrinkageKind.MSE], [2.0])[0] == pytest.approx(0.5, abs=1e-15)
+    assert gain_rows([ShrinkageKind.MSE], [0.5])[0] == 0.0
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_asymptote_and_zero(kind):
-    assert gain(kind, 1e9) == pytest.approx(1.0, abs=1e-6)
-    assert gain(kind, 0.0) == 0.0
+    assert gain_rows([kind], [1e9])[0] == pytest.approx(1.0, abs=1e-6)
+    assert gain_rows([kind], [0.0])[0] == 0.0
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -44,15 +44,15 @@ def test_alpha_shift_is_exact(kind):
     for _ in range(200):
         xi = 10.0 ** rng.uniform(-6, 9)
         alpha = 10.0 ** rng.uniform(-1, 1)
-        assert gain(kind, xi, alpha) == gain(kind, xi / alpha, 1.0)
+        assert gain_rows([kind], [xi], alpha)[0] == gain_rows([kind], [xi / alpha], 1.0)[0]
 
 
 def test_parameter_validation():
     for alpha in (0.0, -2.0, np.inf):
         with pytest.raises(ValueError, match="alpha"):
-            gain(ShrinkageKind.MSE, 1.0, alpha=alpha)
+            gain_rows([ShrinkageKind.MSE], [1.0], alpha=alpha)
     with pytest.raises(ValueError):
-        gain(ShrinkageKind.MSE, -1.0)
+        gain_rows([ShrinkageKind.MSE], [-1.0])
     with pytest.raises(ValueError):
         gain_rows([ShrinkageKind.WE], [np.array([1.0, -0.5])])
     with pytest.raises(ValueError, match="nonnegative"):
@@ -98,18 +98,6 @@ def test_pinned_values(alpha):
 # In a test name, gain_array is the one-row call gain_rows([kind], [xi], alpha)[0].
 
 
-def test_gain_is_gain_array_on_one_value():
-    # xi = 5 is a log_mse input where math.exp and np.exp differ by one ulp
-    edges = [0.0, 5e-324, 1e-300, 0.5, 5.0, 10.0, 1e9, np.inf, np.nan]
-    xi = np.concatenate([edges, 10.0 ** np.random.default_rng(5).uniform(-4, 6, 64)])
-    for kind in ALL_KINDS:
-        for alpha in (0.5, 1.0, 1.75):
-            for v, ref in zip(xi.tolist(), gain_rows([kind], [xi], alpha)[0].tolist()):
-                g = gain(kind, v, alpha)
-                assert type(g) is float
-                assert g == ref
-
-
 def test_gain_array_nan_is_zero_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -121,8 +109,6 @@ def test_gain_array_nan_is_zero_without_warning():
 def test_unknown_kind_rejected(kind):
     # including xi = 0, where every formula would return 0 before the kind is used
     for xi in (0.0, 10.0):
-        with pytest.raises(ValueError, match="ShrinkageKind"):
-            gain(kind, xi)
         with pytest.raises(ValueError, match="ShrinkageKind"):
             gain_rows([kind], [np.array([xi])])
 
@@ -203,10 +189,13 @@ def test_monotonicity_diagnostic_scan():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_gain_matches_grid_oracle(kind):
     rng = np.random.default_rng(12)
+    scenes = []
     for _ in range(1000):
         sigma = rng.uniform(0.5, 2.0)
         xi = 10.0 ** rng.uniform(math.log10(25.0), 5.0)
         sign = 1 if rng.random() < 0.5 else -1
-        x = sign * sigma * math.sqrt(xi)
-        best = oracle_argmin(kind, x, sigma, sign_of_clean=sign, grid_step=1e-3)
-        assert abs(gain(kind, xi) - best) <= 1e-3
+        scenes.append((sigma, xi, sign * sigma * math.sqrt(xi)))
+    sigmas, xis, xs = zip(*scenes)
+    for sigma, x, g in zip(sigmas, xs, gain_rows([kind], [xis])[0].tolist()):
+        best = oracle_argmin(kind, x, sigma, grid_step=1e-3)
+        assert abs(g - best) <= 1e-3
