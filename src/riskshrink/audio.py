@@ -102,11 +102,12 @@ def write_wav(path, buffer: AudioBuffer) -> None:
 
 def mix_at_snr(
     clean: AudioBuffer, noise: AudioBuffer, snr_db: float, seed_offset: int
-) -> tuple[AudioBuffer, AudioBuffer]:
-    """Add a scaled random segment of ``noise`` to ``clean`` at a global SNR.
+) -> AudioBuffer:
+    """Add a scaled random segment of ``noise`` to ``clean`` at a global SNR
+    and return the mixture; the noise in it is, to rounding, the mixture
+    minus ``clean``.
 
-    Returns the mixture and the scaled noise that went into it.  The segment
-    start is drawn from a generator seeded with ``seed_offset``.
+    The segment start is drawn from a generator seeded with ``seed_offset``.
     """
     if clean.sample_rate != noise.sample_rate:
         raise ValueError(
@@ -130,12 +131,7 @@ def mix_at_snr(
         g_sq = 0.0
     if not 0.0 < g_sq < np.inf:
         raise ValueError(f"snr_db={snr_db} gives no finite, nonzero noise scale")
-    g = np.sqrt(g_sq)
-    scaled = g * segment
-    return (
-        AudioBuffer(clean.samples + scaled, clean.sample_rate),
-        AudioBuffer(scaled, clean.sample_rate),
-    )
+    return AudioBuffer(clean.samples + np.sqrt(g_sq) * segment, clean.sample_rate)
 
 
 def generate_white_noise(

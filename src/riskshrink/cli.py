@@ -176,7 +176,7 @@ def _cmd_evaluate(args, parser) -> int:
     metrics = [f.name for f in fields(GainReport)]
     rows = []
     for snr_db in sorted(snrs):
-        noisy = [mix_at_snr(clean, noise, snr_db, seed_offset=seed)[0] for seed in seeds]
+        noisy = [mix_at_snr(clean, noise, snr_db, seed_offset=seed) for seed in seeds]
         out = denoise_kinds(np.stack([buf.samples for buf in noisy]), config, kinds)
         for k, kind in enumerate(kinds):
             reports = [

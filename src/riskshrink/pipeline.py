@@ -58,12 +58,18 @@ class DenoiserConfig:
                 f"at {self.sample_rate} Hz give frame_len={frame_len} and hop={hop} "
                 f"samples; frames must be finite and the hop at least 1 sample"
             )
+        if not isinstance(self.kind, ShrinkageKind):
+            raise ValueError(f"kind must be a ShrinkageKind, got {self.kind!r}")
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         for name in ("beta", "eta"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
+        for name in ("init_noise_frames", "vad_hangover"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.init_noise_frames < 1:
             raise ValueError(
                 f"init_noise_frames must be at least 1, got {self.init_noise_frames}"

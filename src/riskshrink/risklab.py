@@ -121,12 +121,6 @@ def sample_truncated_gaussian(
     return out
 
 
-def _require_two_samples(n_samples: int) -> None:
-    """A check's tolerance needs the standard error, undefined for one draw."""
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
-
-
 # ---------------------------------------------------------------------------
 # Stein-type identity checks
 # ---------------------------------------------------------------------------
@@ -149,16 +143,22 @@ _STEIN_PAIRS = {
 STEIN_FUNCTION_IDS = tuple(_STEIN_PAIRS)
 
 
-def _mc_row(name: str, lhs_terms, rhs_terms, allowance: float) -> CheckResult:
+def _mc_row(
+    name: str, lhs_terms, rhs_terms, allowance: float, band: float = 0.0
+) -> CheckResult:
     """Monte Carlo row: the means of both per-draw terms, with a tolerance of
-    three standard errors of their per-draw difference plus ``allowance``."""
+    three standard errors of their per-draw difference plus ``allowance`` plus
+    ``band`` times the magnitude of the ``lhs`` mean.
+
+    The standard error is undefined below two draws, so every Monte Carlo
+    check refuses fewer here, before any mean is taken.
+    """
+    if lhs_terms.size < 2:
+        raise ValueError(f"n_samples must be at least 2, got {lhs_terms.size}")
+    lhs = float(np.mean(lhs_terms))
     stderr = np.std(lhs_terms - rhs_terms, ddof=1) / math.sqrt(lhs_terms.size)
-    return CheckResult(
-        name,
-        float(np.mean(lhs_terms)),
-        float(np.mean(rhs_terms)),
-        float(3.0 * stderr + allowance),
-    )
+    tol = float(3.0 * stderr + allowance + band * abs(lhs))
+    return CheckResult(name, lhs, float(np.mean(rhs_terms)), tol)
 
 
 def generalized_stein_check(
@@ -172,7 +172,6 @@ def generalized_stein_check(
     """
     if n not in (0, 1, 2, 3, 4):
         raise ValueError(f"order n must be in 0..4, got {n}")
-    _require_two_samples(n_samples)
     if f_id not in _STEIN_PAIRS:
         raise ValueError(f"unknown Stein test function {f_id!r}")
     f, fprime = _STEIN_PAIRS[f_id]
@@ -229,8 +228,7 @@ def risk_estimate(kind: ShrinkageKind, a, x, sigma: float, clean=None):
         raise ValueError(f"{kind.value} risk estimate undefined at X = 0")
     sig2 = sigma * sigma
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # mse needs no u, which at 1e6 Monte Carlo draws is one more 8 MB array
-        u = None if kind is ShrinkageKind.MSE else sig2 / (x * x)
+        u = sig2 / (x * x)
         if kind is ShrinkageKind.MSE:
             x2 = x * x
             val = a * a * x2 - 2.0 * a * x2 + 2.0 * sig2 * a
@@ -320,9 +318,10 @@ def unbiasedness_check(
     (``rhs``) over shared noise draws.
 
     The row's ``_mc_row`` allowance is the ``exp(-c**2)`` truncation allowance
-    for squared error, and a 1% relative band for the fourth-order series cut
-    of the other measures.  Only ``mse`` and ``we`` are finite at ``a = 0``;
-    the other measures refuse it, as ``risk_estimate`` refuses ``x = 0``.
+    for squared error; the other measures have instead a 1% band relative to
+    ``lhs`` for their fourth-order series cut.  Only ``mse`` and ``we`` are
+    finite at ``a = 0``; the other measures refuse it, as ``risk_estimate``
+    refuses ``x = 0``.
     """
     if kind is not ShrinkageKind.MSE and not scene.high_snr:
         raise ValueError(
@@ -331,16 +330,14 @@ def unbiasedness_check(
         )
     if a == 0.0 and kind not in (ShrinkageKind.MSE, ShrinkageKind.WE):
         raise ValueError(f"{kind.value} distortion undefined at a = 0")
-    _require_two_samples(n_samples)
     w = sample_truncated_gaussian(scene.spec, n_samples, seed)
     x = scene.clean + w
     d = _distortion(kind, a, scene.clean, x)
     est = risk_estimate(kind, a, x, scene.spec.sigma, clean=scene.clean)
+    name = f"unbiased:{kind.value}:S={scene.clean:g}:a={a:g}"
     if kind is ShrinkageKind.MSE:
-        allowance = math.exp(-scene.spec.c * scene.spec.c)
-    else:
-        allowance = 0.01 * abs(float(np.mean(d)))
-    return _mc_row(f"unbiased:{kind.value}:S={scene.clean:g}:a={a:g}", d, est, allowance)
+        return _mc_row(name, d, est, math.exp(-scene.spec.c * scene.spec.c))
+    return _mc_row(name, d, est, 0.0, band=0.01)
 
 
 def high_snr_event_check(
@@ -376,29 +373,14 @@ _ORACLE_SCENES = 200
 
 
 def verification_suite(n_samples: int, seed: int, grid_step: float) -> list[CheckResult]:
-    """Run every numerical claim check and return one result row per check."""
-    _require_two_samples(n_samples)
+    """Run every numerical claim check and return one result row per check.
+
+    The Stein rows run first, so their ``_mc_row`` refuses fewer than two
+    draws before the sampler rows, listed first, divide by the count.
+    """
     rows: list[CheckResult] = []
     c = 5.0
     sub = seed
-
-    # sampler sanity at sigma = 1; moment tolerances are stated for 1e6 draws
-    # and widen as 1/sqrt(n) below that
-    spec1 = TruncatedGaussianSpec(sigma=1.0, c=c)
-    w = sample_truncated_gaussian(spec1, n_samples, sub)
-    scale = max(1.0, math.sqrt(1_000_000 / n_samples))
-    rows.append(
-        CheckResult("sampler:support", float(np.mean(np.abs(w) >= spec1.bound)), 0.0, 0.0)
-    )
-    rows.append(CheckResult("sampler:mean", float(np.mean(w)), 0.0, 0.005 * scale))
-    rows.append(
-        CheckResult(
-            "sampler:variance",
-            float(np.var(w)),
-            spec1.variance,
-            0.01 * spec1.variance * scale,
-        )
-    )
 
     # Stein identities, first-order (n = 0) and generalized
     for sigma in (0.5, 1.0, 2.0):
@@ -407,6 +389,18 @@ def verification_suite(n_samples: int, seed: int, grid_step: float) -> list[Chec
             for f_id in STEIN_FUNCTION_IDS:
                 sub += 1
                 rows.append(generalized_stein_check(f_id, n, spec, n_samples, sub))
+
+    # sampler sanity at sigma = 1, from the suite's own seed; moment tolerances
+    # are stated for 1e6 draws and widen as 1/sqrt(n) below that
+    spec1 = TruncatedGaussianSpec(sigma=1.0, c=c)
+    w = sample_truncated_gaussian(spec1, n_samples, seed)
+    scale = max(1.0, math.sqrt(1_000_000 / n_samples))
+    variance = spec1.variance
+    rows[:0] = [
+        CheckResult("sampler:support", float(np.mean(np.abs(w) >= spec1.bound)), 0.0, 0.0),
+        CheckResult("sampler:mean", float(np.mean(w)), 0.0, 0.005 * scale),
+        CheckResult("sampler:variance", float(np.var(w)), variance, 0.01 * variance * scale),
+    ]
 
     # closed-form gains against the grid oracle, one gain_rows call for every
     # scene; the grid search stays per scene (200 grids of step 1e-6: 1.6 GB)

@@ -53,7 +53,8 @@ def gain_rows(kinds, xi: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     row ``xi[k]`` takes the gain of ``kinds[k]``.
 
     ``xi = 0`` gives 0 for every measure: the coefficient carries no signal
-    evidence and several formulas are singular there.
+    evidence and several formulas are singular there.  So do NaN and every
+    ``xi`` small enough that ``u = alpha / xi`` overflows.
     """
     for kind in kinds:
         if not isinstance(kind, ShrinkageKind):
@@ -69,5 +70,6 @@ def gain_rows(kinds, xi: np.ndarray, alpha: float = 1.0) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         u = 1.0 / (xi / float(alpha))
         g = np.array([_GAINS[kind](row) for kind, row in zip(kinds, u)])
-        # xi <= 0 (or NaN) and an underflowed 1/xi_eff both shrink fully
-        return np.where((xi > 0.0) & np.isfinite(u), g, 0.0)
+        # past the xi < 0 refusal, u is +-inf where xi / alpha is +-0 or so small
+        # that its reciprocal overflows, and NaN at NaN: all of them shrink fully
+        return np.where(np.isfinite(u), g, 0.0)

@@ -19,8 +19,9 @@ from .shrinkage import ShrinkageKind, gain_rows
 
 # Decision-directed smoothing weight for the VAD-internal prior SNR.
 _DD_WEIGHT = 0.98
-# A-posteriori SNR cap; protects the statistic when a noise-variance bin is
-# zero or vanishingly small.
+# A-posteriori SNR cap.  A non-silent bin whose noise variance is zero has
+# x**2 / 0 = inf and falls to it, as does one whose variance is vanishingly
+# small; a silent bin has gamma 0 whatever its variance.
 _GAMMA_CAP = 1e6
 
 
@@ -80,12 +81,10 @@ def vad(x_sq: np.ndarray, state: TrackerState) -> np.ndarray:
     previous mse estimate with the current observation.
     """
     nv = state.noise_var
-    live = nv > 0.0
     prev = state.prev_denoised[state.mse_row]
     with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = np.where(live, x_sq / nv, np.where(x_sq > 0.0, _GAMMA_CAP, 0.0))
-        gamma = np.minimum(gamma, _GAMMA_CAP)
-        dd = np.where(live, _DD_WEIGHT * prev**2 / nv, 0.0)
+        gamma = np.minimum(np.where(x_sq > 0.0, x_sq / nv, 0.0), _GAMMA_CAP)
+        dd = np.where(nv > 0.0, _DD_WEIGHT * prev**2 / nv, 0.0)
     rho = np.minimum(dd + (1.0 - _DD_WEIGHT) * np.maximum(gamma - 1.0, 0.0), _GAMMA_CAP)
     return np.mean(gamma * rho / (1.0 + rho) - np.log1p(rho), axis=-1)
 

@@ -201,7 +201,7 @@ def test_end_to_end_gains(tmp_path):
     failures = []
     ssnr_rows = []
     for snr_db in (5.0, 10.0, 15.0):
-        noisy, _ = mix_at_snr(clean, noise, snr_db, seed_offset=7)
+        noisy = mix_at_snr(clean, noise, snr_db, seed_offset=7)
         for kind in ShrinkageKind:
             out = denoise(noisy.samples, DenoiserConfig(kind=kind))
             rep = gain_report(clean.samples, noisy.samples, out, 320)

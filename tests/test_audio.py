@@ -324,27 +324,27 @@ def _tone(n=4000, sr=8000):
 def test_mix_power_ratio_exact():
     clean = _tone()
     noise = generate_white_noise(len(clean) + 1000, 0.1, seed=24)
-    for snr in (0.0, 10.0, -5.0):
-        noisy, scaled = mix_at_snr(clean, noise, snr, seed_offset=1)
+    # the mixture minus clean is the scaled noise, to rounding
+    for snr in (0.0, 10.0, -5.0, 40.0, -40.0):
+        noisy = mix_at_snr(clean, noise, snr, seed_offset=1)
         p_clean = np.sum(clean.samples**2)
-        p_noise = np.sum(scaled.samples**2)
+        p_noise = np.sum((noisy.samples - clean.samples) ** 2)
         assert 10.0 * np.log10(p_clean / p_noise) == pytest.approx(snr, abs=1e-9)
-        np.testing.assert_allclose(noisy.samples, clean.samples + scaled.samples)
 
 
 def test_mix_same_buffer_unit_gain():
     clean = _tone()
-    noisy, scaled = mix_at_snr(clean, clean, 0.0, seed_offset=0)
-    np.testing.assert_allclose(scaled.samples, clean.samples, rtol=1e-12)
+    noisy = mix_at_snr(clean, clean, 0.0, seed_offset=0)
+    np.testing.assert_allclose(noisy.samples - clean.samples, clean.samples, rtol=1e-12)
     np.testing.assert_allclose(noisy.samples, 2.0 * clean.samples, rtol=1e-12)
 
 
 def test_mix_segment_choice_is_seeded():
     clean = _tone(2000)
     noise = generate_white_noise(10000, 0.1, seed=25)
-    a1, _ = mix_at_snr(clean, noise, 10.0, seed_offset=3)
-    a2, _ = mix_at_snr(clean, noise, 10.0, seed_offset=3)
-    b, _ = mix_at_snr(clean, noise, 10.0, seed_offset=4)
+    a1 = mix_at_snr(clean, noise, 10.0, seed_offset=3)
+    a2 = mix_at_snr(clean, noise, 10.0, seed_offset=3)
+    b = mix_at_snr(clean, noise, 10.0, seed_offset=4)
     np.testing.assert_array_equal(a1.samples, a2.samples)
     assert not np.array_equal(a1.samples, b.samples)
 

@@ -204,6 +204,10 @@ def test_evaluate_deterministic_bytes(fixture_wavs, tmp_path):
     assert main(args + ["--out-csv", str(out1)]) == 0
     assert main(args + ["--out-csv", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # pinned with numpy 2.4.6 and scipy 1.17.1, as the denoiser outputs are
+    assert hashlib.sha256(out1.read_bytes()).hexdigest() == (
+        "5d3c13f87be3f6d1253d3f61c68e35529cbf94a77e19fd6c00cd8bb311b01950"
+    )
 
 
 def test_evaluate_unknown_kind_is_usage_error(fixture_wavs, tmp_path):

@@ -39,6 +39,9 @@ def test_config_defaults_give_standard_geometry():
         {"vad_threshold": float("nan")},
         {"vad_threshold": float("inf")},
         {"vad_hangover": 10**20},  # beyond the tracker's int64 counter
+        {"kind": "mse"},  # a kind name, not a ShrinkageKind
+        {"init_noise_frames": 2.5},
+        {"vad_hangover": 1.5},
     ],
 )
 def test_config_validation(kwargs):
@@ -204,6 +207,7 @@ _PINNED_SHA256 = {
     "default": "98486c98b2a71e5e3fea3bfea5bc1bf7a9760c55331162d2eb615a05e001f3c7",
     "init20_overlap0.5": "d56580501b20e53c1c5a8fc0c21ad3383c2649ff66180d1b772abf55aa351f42",
     "init1": "cf654c85f31d83db09021a04e83b19dcadd0295f563ed4d6be97b2c95295608b",
+    "rate16000": "4aaf4705d0bfa41e5b9c5a517c78df3e570525056ba5d188127ff2f7aa7bd3fb",
 }
 # The mse rows alone.  The VAD and the noise floor read the mse estimate, so
 # these stay fixed wherever the other kinds' rows move.
@@ -211,6 +215,7 @@ _PINNED_MSE_SHA256 = {
     "default": "5512be5e38d3cfc415605f14a592e1aca3bbb177fe21a04e4362ece4b7433b93",
     "init20_overlap0.5": "d4d2b6ed49a1460abe52aa6fa1c67ecc81c4da882611b2da0cd464e0cb915155",
     "init1": "d326f03d6986ecb40ec979252ce68c5a6a9e06a38cb75de618eb8b8732cd2a3d",
+    "rate16000": "191e8e6f98e881dfc697bee6d752009b45dcebf4605c140c6d3598bf98f949f9",
 }
 
 
@@ -225,6 +230,8 @@ def _sha256(a):
         # more initialization frames than one analysis block holds
         ("init20_overlap0.5", {"init_noise_frames": 20, "overlap_fraction": 0.5}),
         ("init1", {"init_noise_frames": 1}),
+        # 640-point frames, as the benchmark's 16 kHz denoise runs them
+        ("rate16000", {"sample_rate": 16000}),
     ],
 )
 def test_output_bits_pinned(case, overrides, voiced_buffer):
@@ -364,7 +371,7 @@ def test_tone_in_noise_snr_improves():
 
     tone = AudioBuffer(sig, sr)
     noise = generate_white_noise(len(tone) + 4000, 1.0, seed=36)
-    noisy, _ = mix_at_snr(tone, noise, 10.0, seed_offset=5)
+    noisy = mix_at_snr(tone, noise, 10.0, seed_offset=5)
     out = denoise(noisy.samples, DenoiserConfig(kind=ShrinkageKind.MSE))
     before = global_snr_db(tone.samples, noisy.samples)
     after = global_snr_db(tone.samples, out)
@@ -373,7 +380,7 @@ def test_tone_in_noise_snr_improves():
 
 def test_voiced_fixture_snr_improves(voiced_buffer):
     noise = generate_white_noise(len(voiced_buffer) + 4000, 1.0, seed=39)
-    noisy, _ = mix_at_snr(voiced_buffer, noise, 10.0, seed_offset=5)
+    noisy = mix_at_snr(voiced_buffer, noise, 10.0, seed_offset=5)
     out = denoise(noisy.samples, DenoiserConfig(kind=ShrinkageKind.MSE))
     before = global_snr_db(voiced_buffer.samples, noisy.samples)
     after = global_snr_db(voiced_buffer.samples, out)
@@ -407,7 +414,7 @@ def test_denoise_file_missing_input(tmp_path):
 
 def test_denoise_file_speech_fixture(tmp_path, voiced_buffer):
     noise = generate_white_noise(len(voiced_buffer) + 4000, 1.0, seed=37)
-    noisy, _ = mix_at_snr(voiced_buffer, noise, 10.0, seed_offset=6)
+    noisy = mix_at_snr(voiced_buffer, noise, 10.0, seed_offset=6)
     src = tmp_path / "noisy.wav"
     dst = tmp_path / "clean.wav"
     write_wav(src, noisy)
@@ -420,7 +427,7 @@ def test_denoise_file_speech_fixture(tmp_path, voiced_buffer):
 def _voiced_at_10db(voiced_buffer):
     """The voiced fixture in white noise at 10 dB, mixed as the file tests mix it."""
     noise = generate_white_noise(len(voiced_buffer) + 4000, 1.0, seed=37)
-    return mix_at_snr(voiced_buffer, noise, 10.0, seed_offset=6)[0]
+    return mix_at_snr(voiced_buffer, noise, 10.0, seed_offset=6)
 
 
 @pytest.mark.parametrize(

@@ -268,6 +268,18 @@ def test_zero_observation_rejected_for_non_mse():
     assert risk_estimate(ShrinkageKind.MSE, 0.5, 0.0, 1.0) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_mse_estimate_at_zero_observation_is_finite_without_warning(sigma):
+    # sigma**2 / x**2 is inf or NaN at x = 0, and squared error never reads it
+    a = np.linspace(0.0, 1.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = risk_estimate(ShrinkageKind.MSE, a, 0.0, sigma)
+        full = risk_estimate(ShrinkageKind.MSE, a, [0.0, -0.0, 0.0, 2.0, 0.0], sigma, clean=1.0)
+    assert values.tolist() == (2.0 * sigma * sigma * a).tolist()
+    assert np.all(np.isfinite(full))
+
+
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("kind", list(ShrinkageKind))
 def test_non_finite_observation_rejected(kind, x):
@@ -468,6 +480,20 @@ def test_one_draw_is_rejected():
         lambda: unbiasedness_check(ShrinkageKind.MSE, 0.5, scene, 1, seed=0),
     ):
         with pytest.raises(ValueError, match="at least 2"):
+            check()
+
+
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_too_few_draws_are_rejected_by_every_monte_carlo_check(n_samples):
+    # is exercises the relative band, which reads the mean of the draws
+    scene = SyntheticScene(clean=25.0, spec=SPEC1)
+    for check in (
+        lambda: verification_suite(n_samples, seed=0, grid_step=1e-4),
+        lambda: generalized_stein_check("cube", 3, SPEC1, n_samples, seed=0),
+        lambda: unbiasedness_check(ShrinkageKind.MSE, 0.5, scene, n_samples, seed=0),
+        lambda: unbiasedness_check(ShrinkageKind.IS, 0.5, scene, n_samples, seed=0),
+    ):
+        with pytest.raises(ValueError, match=f"at least 2, got {n_samples}"):
             check()
 
 

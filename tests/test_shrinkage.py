@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import riskshrink
+from riskshrink import shrinkage
 from riskshrink.risklab import oracle_argmin
 from riskshrink.shrinkage import ShrinkageKind, gain_rows
 
@@ -103,6 +104,24 @@ def test_gain_array_nan_is_zero_without_warning():
         warnings.simplefilter("error")
         g = gain_rows([ShrinkageKind.MSE], [np.full(4, np.nan)])[0]
     np.testing.assert_array_equal(g, np.zeros(4))
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1.0, 1e300])
+def test_gain_is_zero_exactly_where_u_is_not_finite(alpha):
+    # xi = +-0 and NaN, and an xi / alpha whose reciprocal overflows (5e-324 at
+    # alpha 1) or that underflows to 0 (5e-324 at alpha 1e300), shrink fully;
+    # every other point is the table's formula, and xi = inf keeps all
+    xi = np.array([0.0, -0.0, np.nan, np.inf, 5e-324, 1e308])
+    zero = np.array([True, True, True, False, alpha >= 1.0, False])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = gain_rows(ALL_KINDS, np.tile(xi, (len(ALL_KINDS), 1)), alpha)
+    for kind, row in zip(ALL_KINDS, g):
+        assert row[zero].tobytes() == np.zeros(zero.sum()).tobytes(), kind
+        with np.errstate(divide="ignore", over="ignore"):
+            want = shrinkage._GAINS[kind](1.0 / (xi[~zero] / alpha))
+        assert row[~zero].tobytes() == want.tobytes(), kind
+        assert row[3] == 1.0, kind
 
 
 @pytest.mark.parametrize("kind", ["mse", 0, None])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,23 @@ def test_vad_zero_variance_bin_is_capped():
     assert np.isfinite(vad(np.array([9.0, 1.0]), state))
     _, speech = _step(state, np.array([3.0, 1.0]))
     assert speech  # capped gamma on the dead bin dominates
+
+
+def test_vad_mixes_live_and_zero_variance_bins_bitwise():
+    # each input holds zero-variance bins and live ones, silent and non-silent
+    # bins among both, and a near-zero variance whose gamma exceeds the cap
+    state = _state(
+        [[0.0, 0.0, 1.0, 0.5, 0.0, 2.0], [0.0, 0.25, 0.0, 4.0, 1e-300, 0.0]],
+        prev_denoised=[[[0.0, 1.0, 0.5, 1.5, 2.0, 0.0], [3.0, 0.0, 1.0, 0.0, 0.5, 2.0]]],
+    )
+    x_sq = np.array([[0.0, 9.0, 0.0, 2.0, 1e-300, 8.0], [4.0, 0.0, 0.0, 1.0, 3.0, 1e-12]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        statistic = vad(x_sq, state)
+    assert [float(v).hex() for v in statistic] == [
+        "0x1.458067a3f815dp+18",
+        "0x1.e8426413fa530p+18",
+    ]
 
 
 def test_vad_decision_invariant():
