@@ -125,15 +125,31 @@ def sample_truncated_gaussian(
 # Stein-type identity checks
 # ---------------------------------------------------------------------------
 
+
+def _power(w: np.ndarray, k: int) -> np.ndarray:
+    """``w**k`` for an integer ``k >= 0`` as the left-to-right product
+    ``1*w*w*...*w`` (the leading 1 is exact), a fresh array.
+
+    Every Stein power goes through here, so each ``W**k`` has one rounding
+    order, the same under every CPU dispatch.
+    """
+    out = np.ones_like(w)
+    for _ in range(k):
+        out *= w
+    return out
+
+
 # Catalog of (f, f') pairs, each taking the draws ``w`` and the pole shift
 # ``s = 10 * spec.bound`` that keeps ``recip_shifted``'s pole far outside the
-# truncation support; the other entries ignore ``s``.
+# truncation support; the other entries ignore ``s``.  Powers of ``w`` are
+# ``_power``'s left-to-right products: float ``**`` takes numpy's slow ``pow``
+# path on negative draws and rounds differently under each CPU dispatch.
 _STEIN_PAIRS = {
     "const": (lambda w, s: np.ones_like(w), lambda w, s: np.zeros_like(w)),
     "linear": (lambda w, s: w, lambda w, s: np.ones_like(w)),
     "square": (lambda w, s: w * w, lambda w, s: 2.0 * w),
-    "cube": (lambda w, s: w**3, lambda w, s: 3.0 * w * w),
-    "quartic": (lambda w, s: w**4, lambda w, s: 4.0 * w**3),
+    "cube": (lambda w, s: _power(w, 3), lambda w, s: 3.0 * w * w),
+    "quartic": (lambda w, s: _power(w, 4), lambda w, s: 4.0 * _power(w, 3)),
     "recip_shifted": (lambda w, s: 1.0 / (w + s), lambda w, s: -1.0 / (w + s) ** 2),
     "rational_bounded": (
         lambda w, s: w / (1.0 + w * w),
@@ -169,6 +185,9 @@ def generalized_stein_check(
 
     Order 0 is the first-order identity, ``E[W f(W)] = sigma**2 E[f'(W)]``.
     The row's ``_mc_row`` allowance is the ``exp(-c**2)`` truncation allowance.
+    Each power ``W**k`` is the left-to-right product ``W*W*...*W`` of
+    ``_power``, not float ``**``: numpy's ``pow`` is tens of times slower on
+    negative draws and rounds differently under each CPU dispatch.
     """
     if n not in (0, 1, 2, 3, 4):
         raise ValueError(f"order n must be in 0..4, got {n}")
@@ -179,8 +198,10 @@ def generalized_stein_check(
     shift = 10.0 * spec.bound
     fw = f(w, shift)
     # max(n - 1, 0): at n = 0, W**-1 would turn a zero draw's 0 * f(0) into NaN
-    lhs_terms = w ** (n + 1) * fw
-    rhs_terms = spec.sigma**2 * (fprime(w, shift) * w**n + n * fw * w ** max(n - 1, 0))
+    lhs_terms = _power(w, n + 1) * fw
+    rhs_terms = spec.sigma**2 * (
+        fprime(w, shift) * _power(w, n) + n * fw * _power(w, max(n - 1, 0))
+    )
     name = f"stein:{f_id}" if n == 0 else f"stein_gen:n={n}:{f_id}"
     return _mc_row(f"{name}:sigma={spec.sigma:g}", lhs_terms, rhs_terms, math.exp(-spec.c**2))
 
