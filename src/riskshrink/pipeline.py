@@ -131,10 +131,11 @@ def _run(x: np.ndarray, config: DenoiserConfig, kinds):
     out = np.zeros((len(kinds), x.shape[0], grid.padded_len))
     for start in range(0, grid.num_frames, _BLOCK_FRAMES):
         coeffs = stdct.dct_forward(frames[:, start : start + _BLOCK_FRAMES] * window)
-        denoised = np.empty((len(state.rows),) + coeffs.shape)
+        denoised = np.empty((len(kinds),) + coeffs.shape)
         for j in range(coeffs.shape[1]):
-            tracking.step(state, coeffs[:, j], denoised[:, :, j], config)
-        synthesized = stdct.dct_inverse(denoised[: len(kinds)])
+            tracking.step(state, coeffs[:, j], config)
+            np.multiply(state.gain[: len(kinds)], coeffs[:, j], out=denoised[:, :, j])
+        synthesized = stdct.dct_inverse(denoised)
         stdct.overlap_add_block(out, synthesized, grid, window, start)
     stdct.overlap_normalize(out, grid, window)
     return out[..., : x.shape[-1]], state

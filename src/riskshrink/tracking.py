@@ -1,13 +1,13 @@
 """Per-bin noise-variance tracking with a likelihood-ratio VAD gate, the
 recursive inverse a-posteriori SNR estimate, and the gains it feeds.
 
-One call of :func:`step` denoises one frame.  The VAD, its hangover and the
-noise floor belong to the input: state arrays carry any number of leading
-input axes, one row of ``bins`` per input, shared by every gain applied to
-that input.  Only the inverse-SNR recursion runs per gain, one row each: the
-requested kinds in their order, then a hidden mse (Wiener) row when mse was
-not requested.  The VAD reads the mse estimate, so no gain can hide speech
-from the VAD that sets its own floor.  An input's frames are strictly
+One call of :func:`step` computes one frame's gains.  The VAD, its hangover
+and the noise floor belong to the input: state arrays carry any number of
+leading input axes, one row of ``bins`` per input, shared by every gain
+applied to that input.  Only the inverse-SNR recursion runs per gain, one row
+each: the requested kinds in their order, then a hidden mse (Wiener) row when
+mse was not requested.  The VAD reads the mse estimate, so no gain can hide
+speech from the VAD that sets its own floor.  An input's frames are strictly
 sequential since each frame's estimate depends on the previous one.
 """
 
@@ -29,18 +29,18 @@ _GAMMA_CAP = 1e6
 class TrackerState:
     """Tracker state, updated in place by :func:`step`.
 
-    ``rows`` holds the gain of each row of ``prev_denoised``, the previous
-    frame's denoised coefficients, shape ``(rows, ..., bins)``; the VAD reads
-    row ``mse_row``.  ``noise_var`` and ``prev_noisy_sq``, the previous
-    frame's squared coefficients, have shape ``(..., bins)``, one row per
-    input; ``hang`` holds the hangover frames left per input, and
-    ``speech_frames`` the frames taken as speech so far (hangover included).
+    ``gain`` holds the previous frame's gain of each kind in ``rows``, shape
+    ``(rows, ..., bins)``; the VAD reads row ``mse_row``.  ``noise_var`` and
+    ``prev_noisy_sq``, the previous frame's squared coefficients, have shape
+    ``(..., bins)``, one row per input; ``hang`` holds the hangover frames
+    left per input, and ``speech_frames`` the frames taken as speech so far
+    (hangover included).  No field is a view of memory the caller owns.
     """
 
     rows: list
     mse_row: int
     noise_var: np.ndarray
-    prev_denoised: np.ndarray
+    gain: np.ndarray
     prev_noisy_sq: np.ndarray
     hang: np.ndarray
     speech_frames: np.ndarray
@@ -54,8 +54,7 @@ def initialize(first_frames: np.ndarray, kinds) -> TrackerState:
     least one frame, as ``DenoiserConfig.init_noise_frames`` guarantees; the
     per-bin variance of each input is the average squared coefficient over
     all its frames.  The rows are ``kinds`` in their order, repeats included,
-    then mse when ``kinds`` lacks it; ``prev_denoised`` starts as one zero
-    row each.
+    then mse when ``kinds`` lacks it; ``gain`` starts as one zero row each.
     """
     noise_var = np.mean(first_frames**2, axis=-2)
     rows = list(kinds)
@@ -65,7 +64,7 @@ def initialize(first_frames: np.ndarray, kinds) -> TrackerState:
         rows=rows,
         mse_row=rows.index(ShrinkageKind.MSE),
         noise_var=noise_var,
-        prev_denoised=np.zeros((len(rows),) + noise_var.shape),
+        gain=np.zeros((len(rows),) + noise_var.shape),
         prev_noisy_sq=np.zeros_like(noise_var),
         hang=np.zeros(noise_var.shape[:-1], dtype=np.int64),
         speech_frames=np.zeros(noise_var.shape[:-1], dtype=np.int64),
@@ -78,13 +77,14 @@ def vad(x_sq: np.ndarray, state: TrackerState) -> np.ndarray:
     ``x_sq`` is the frame's squared coefficients.  Per bin the term is
     ``gamma * rho / (1 + rho) - log(1 + rho)`` with ``gamma`` the
     a-posteriori SNR and ``rho`` a decision-directed prior SNR blending the
-    previous mse estimate with the current observation.
+    previous mse estimate, ``g_mse**2 * prev_noisy_sq``, with the current
+    observation.
     """
     nv = state.noise_var
-    prev = state.prev_denoised[state.mse_row]
+    g = state.gain[state.mse_row]
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = np.minimum(np.where(x_sq > 0.0, x_sq / nv, 0.0), _GAMMA_CAP)
-        dd = np.where(nv > 0.0, _DD_WEIGHT * prev**2 / nv, 0.0)
+        dd = np.where(nv > 0.0, _DD_WEIGHT * (g * g * state.prev_noisy_sq) / nv, 0.0)
     rho = np.minimum(dd + (1.0 - _DD_WEIGHT) * np.maximum(gamma - 1.0, 0.0), _GAMMA_CAP)
     return np.mean(gamma * rho / (1.0 + rho) - np.log1p(rho), axis=-1)
 
@@ -98,10 +98,10 @@ def update_noise(
 
 
 def step(
-    state: TrackerState, frame: np.ndarray, out: np.ndarray, config
+    state: TrackerState, frame: np.ndarray, config
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the tracker by one frame and write each row's denoised ``frame``
-    into ``out``, kept as ``prev_denoised``; return ``(inv_xi, speech)``.
+    """Advance the tracker by one frame, keeping each row's gain for it in
+    ``gain``; return ``(inv_xi, speech)``.
 
     ``config`` is the denoiser's ``DenoiserConfig``; the step reads its
     ``vad_threshold``, ``vad_hangover``, ``eta``, ``beta`` and ``alpha``.
@@ -110,9 +110,10 @@ def step(
     or for ``vad_hangover`` frames after one that did; its noise variance
     updates with weight ``eta`` only otherwise.  Each row then has, with the
     updated variance and ``b = beta`` (``b = 1`` on the first frame),
-    ``1/xi = b * noise_var/X**2 + (1-b) * max(1 - S_prev**2/X_prev**2, 0)``,
-    and ``X = 0`` gives ``1/xi = inf``, so zero gain.  Row ``k`` of ``out`` is
-    ``frame`` times the gain of ``rows[k]`` at ``xi`` and ``alpha``.
+    ``1/xi = b * noise_var/X**2 + (1-b) * (1 - g_prev**2)``, the previous
+    frame's ``S**2/X**2`` being its gain squared, and ``X = 0`` gives
+    ``1/xi = inf``, so zero gain.  Row ``k`` of ``gain`` becomes the gain of
+    ``rows[k]`` at ``xi`` and ``alpha``, by which the caller multiplies ``frame``.
     """
     x_sq = frame**2
     raw = vad(x_sq, state) > config.vad_threshold
@@ -123,12 +124,9 @@ def step(
     b = config.beta if state.frames_seen else 1.0
     nv = state.noise_var
     with np.errstate(divide="ignore", invalid="ignore"):
-        prev_sq = state.prev_noisy_sq
-        ratio = np.where(prev_sq > 0.0, state.prev_denoised**2 / prev_sq, 0.0)
-        residual = np.maximum(1.0 - ratio, 0.0)
+        residual = 1.0 - state.gain**2
         inv = np.where(x_sq > 0.0, b * nv / x_sq + (1.0 - b) * residual, np.inf)
-        np.multiply(gain_rows(state.rows, 1.0 / inv, config.alpha), frame, out=out)
-    state.prev_denoised = out
+        state.gain = gain_rows(state.rows, 1.0 / inv, config.alpha)
     state.prev_noisy_sq = x_sq
     state.frames_seen += 1
     return inv, speech

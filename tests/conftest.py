@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from numpy._core._multiarray_umath import __cpu_features__
 
 from riskshrink.audio import AudioBuffer
 
@@ -11,6 +12,14 @@ from riskshrink.audio import AudioBuffer
 # failure that the next run cannot reproduce.
 settings.register_profile("derandomized", derandomize=True, deadline=None)
 settings.load_profile("derandomized")
+
+# The numpy SIMD path that keys the bit pins whose rows call a transcendental
+# function.  numpy 2.4.6 takes its AVX-512 path when X86_V4 is enabled, and its
+# AVX2 path when it is not, for instance under
+# NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" (CI runs the tests that
+# way too, so every runner checks the AVX2 digests).  The two round np.exp,
+# np.log1p, np.log and float ** differently, by at most 1 ulp.
+NUMPY_DISPATCH = "AVX-512" if __cpu_features__.get("X86_V4") else "AVX2"
 
 
 def make_voiced(

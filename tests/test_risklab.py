@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from conftest import NUMPY_DISPATCH
 from riskshrink import risklab
 from riskshrink.risklab import (
     GAIN_POINT_XI10,
@@ -588,11 +589,8 @@ def test_verification_suite_small():
     assert "event:high_snr" in names
 
 
-# One digest per numpy dispatch.  numpy 2.4.6 takes its AVX-512 path when
-# X86_V4 is enabled, and its AVX2 path when it is not, for instance under
-# NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" (CI runs this test
-# that way too, so every runner checks the AVX2 digest).  The Stein rows take
-# no transcendental function and read the same on both; the only row that
+# One digest per numpy dispatch (conftest.NUMPY_DISPATCH).  The Stein rows
+# take no transcendental function and read the same on both; the only row that
 # differs is unbiased:log_mse:S=50:a=0.95, through np.log.
 _PINNED_SUITE_SHA256 = {
     "AVX-512": "8f35f680358ce87f88fb8b108d823d2aeb02e804098c31b69993da920fb24a46",
@@ -603,12 +601,10 @@ _PINNED_SUITE_SHA256 = {
 def test_verification_suite_bits_pinned():
     # every bit of every row, pinned with numpy 2.4.6; the verify report
     # digest in test_cli sees only 8 significant digits
-    from numpy._core._multiarray_umath import __cpu_features__
-
-    dispatch = "AVX-512" if __cpu_features__.get("X86_V4") else "AVX2"
     rows = verification_suite(n_samples=2000, seed=0, grid_step=0.05)
     text = "\n".join(f"{r.name} {r.lhs.hex()} {r.rhs.hex()} {r.tol.hex()}" for r in rows)
-    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _PINNED_SUITE_SHA256[dispatch]
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == _PINNED_SUITE_SHA256[NUMPY_DISPATCH]
 
 
 def test_point_value_table_matches_module():

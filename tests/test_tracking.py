@@ -8,18 +8,18 @@ from riskshrink.shrinkage import ShrinkageKind
 from riskshrink.tracking import TrackerState, initialize, step, vad
 
 
-def _state(noise_var, prev_denoised=None, prev_noisy=None, frames_seen=1):
-    """State over ``noise_var``'s inputs; ``prev_denoised`` has one more
-    leading axis, one mse row per gain, and defaults to one zero row.  The
-    VAD reads row 0."""
+def _state(noise_var, gain=None, prev_noisy=None, frames_seen=1):
+    """State over ``noise_var``'s inputs; ``gain``, the previous frame's, has
+    one more leading axis, one mse row per gain, and defaults to one zero row.
+    The VAD reads row 0."""
     noise_var = np.array(noise_var, dtype=np.float64)
     zeros = np.zeros_like(noise_var)
-    prev_denoised = zeros[None] if prev_denoised is None else np.asarray(prev_denoised, float)
+    gain = zeros[None] if gain is None else np.asarray(gain, float)
     return TrackerState(
-        rows=[ShrinkageKind.MSE] * len(prev_denoised),
+        rows=[ShrinkageKind.MSE] * len(gain),
         mse_row=0,
         noise_var=noise_var,
-        prev_denoised=prev_denoised,
+        gain=gain,
         prev_noisy_sq=zeros if prev_noisy is None else np.asarray(prev_noisy, float) ** 2,
         hang=np.zeros(noise_var.shape[:-1], dtype=np.int64),
         speech_frames=np.zeros(noise_var.shape[:-1], dtype=np.int64),
@@ -28,11 +28,9 @@ def _state(noise_var, prev_denoised=None, prev_noisy=None, frames_seen=1):
 
 
 def _step(state, frame, threshold=0.15, hangover=0, eta=0.98, beta=0.98, alpha=1.75):
-    frame = np.asarray(frame, dtype=np.float64)
     return step(
         state,
-        frame,
-        np.empty(np.broadcast_shapes(state.prev_denoised.shape, frame.shape)),
+        np.asarray(frame, dtype=np.float64),
         DenoiserConfig(
             vad_threshold=threshold,
             vad_hangover=hangover,
@@ -53,7 +51,7 @@ def test_initialize_constant_bin():
     frames[:, 0] = 2.0
     state = initialize(frames, ())
     np.testing.assert_array_equal(state.noise_var, [4.0, 0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(state.prev_denoised, np.zeros((1, 4)))
+    np.testing.assert_array_equal(state.gain, np.zeros((1, 4)))
     assert state.frames_seen == 0
 
 
@@ -99,7 +97,7 @@ def test_vad_loud_frame_is_h1():
 
 
 def test_vad_zero_frame_is_h0():
-    state = _state(np.ones(8), prev_denoised=np.full((1, 8), 2.0))
+    state = _state(np.ones(8), gain=np.ones((1, 8)), prev_noisy=np.full(8, 2.0))
     assert vad(np.zeros(8), state) <= 0.0
     _, speech = _step(state, np.zeros(8))
     assert not speech
@@ -117,7 +115,8 @@ def test_vad_mixes_live_and_zero_variance_bins_bitwise():
     # bins among both, and a near-zero variance whose gamma exceeds the cap
     state = _state(
         [[0.0, 0.0, 1.0, 0.5, 0.0, 2.0], [0.0, 0.25, 0.0, 4.0, 1e-300, 0.0]],
-        prev_denoised=[[[0.0, 1.0, 0.5, 1.5, 2.0, 0.0], [3.0, 0.0, 1.0, 0.0, 0.5, 2.0]]],
+        gain=np.full((1, 2, 6), 0.5),
+        prev_noisy=[[0.0, 2.0, 1.0, 3.0, 4.0, 0.0], [6.0, 0.0, 2.0, 0.0, 1.0, 4.0]],
     )
     x_sq = np.array([[0.0, 9.0, 0.0, 2.0, 1e-300, 8.0], [4.0, 0.0, 0.0, 1.0, 3.0, 1e-12]])
     with warnings.catch_warnings():
@@ -194,34 +193,25 @@ def test_update_noise_converges_to_constant_power():
 
 
 def test_inv_xi_pure_a_posteriori_at_unit_beta():
-    state = _state([2.0, 2.0], prev_denoised=[[1.0, 1.0]], prev_noisy=[2.0, 2.0])
+    state = _state([2.0, 2.0], gain=[[0.5, 0.5]], prev_noisy=[2.0, 2.0])
     inv, _ = _step(state, np.array([4.0, 2.0]), threshold=1e9, eta=1.0, beta=1.0)
     np.testing.assert_allclose(inv, [[2.0 / 16.0, 2.0 / 4.0]], rtol=1e-12)
 
 
 def test_inv_xi_second_term_vanishes_when_prev_fully_kept():
-    state = _state([1.0], prev_denoised=[[3.0]], prev_noisy=[3.0])
+    state = _state([1.0], gain=[[1.0]], prev_noisy=[3.0])
     inv, _ = _step(state, np.array([2.0]), threshold=1e9, eta=1.0, beta=0.98)
     assert inv[0, 0] == pytest.approx(0.98 * 1.0 / 4.0, rel=1e-12)
 
 
 def test_inv_xi_second_term_full_when_prev_zeroed():
-    state = _state([1.0], prev_denoised=[[0.0]], prev_noisy=[3.0])
+    state = _state([1.0], gain=[[0.0]], prev_noisy=[3.0])
     inv, _ = _step(state, np.array([2.0]), threshold=1e9, eta=1.0, beta=0.98)
     assert inv[0, 0] == pytest.approx(0.98 * 0.25 + 0.02 * 1.0, rel=1e-12)
 
 
-def test_inv_xi_clamps_overshoot():
-    # adversarial previous frame with S^2 > X^2 must clamp to zero, not go
-    # negative
-    state = _state([1.0], prev_denoised=[[5.0]], prev_noisy=[2.0])
-    inv, _ = _step(state, np.array([2.0]), threshold=1e9, eta=1.0, beta=0.98)
-    assert inv[0, 0] == pytest.approx(0.98 * 0.25, rel=1e-12)
-    assert np.all(inv >= 0.0)
-
-
 def test_inv_xi_zero_bin_is_infinite():
-    state = _state([1.0, 1.0], prev_noisy=[1.0, 1.0], prev_denoised=[[0.5, 0.5]])
+    state = _state([1.0, 1.0], gain=[[0.5, 0.5]], prev_noisy=[1.0, 1.0])
     inv, _ = _step(state, np.array([0.0, 1.0]), beta=0.98)
     assert np.isinf(inv[0, 0])
     assert np.isfinite(inv[0, 1])
@@ -234,20 +224,21 @@ def test_inv_xi_first_frame_forces_unit_beta():
 
 
 def test_vad_and_floor_read_only_the_first_kind():
-    # prev_denoised holds one row per kind over (inputs, bins); row 0 is the
-    # mse estimate.  The speech decision and the floor belong to the input,
-    # so no other kind's estimate may move them.
+    # gain holds one row per kind over (inputs, bins); row 0 is the mse
+    # gain.  The speech decision and the floor belong to the input, so no
+    # other kind's estimate may move them.
     frame = np.stack([np.full(16, 2.5), np.full(16, 0.5)])
     prev = np.zeros((3, 2, 16))
-    reference = _state(np.ones((2, 16)), prev_denoised=prev)
+    prev_noisy = np.full((2, 16), 50.0)
+    reference = _state(np.ones((2, 16)), gain=prev, prev_noisy=prev_noisy)
     _, speech = _step(reference, frame)
     np.testing.assert_array_equal(speech, [True, False])
     assert reference.hang.shape == (2,)
     assert reference.noise_var.shape == (2, 16)
     for k in (0, 1, 2):
         changed = prev.copy()
-        changed[k] = 50.0  # a prior SNR this high takes the loud frame for noise
-        state = _state(np.ones((2, 16)), prev_denoised=changed)
+        changed[k] = 1.0  # a prior SNR this high takes the loud frame for noise
+        state = _state(np.ones((2, 16)), gain=changed, prev_noisy=prev_noisy)
         _, changed_speech = _step(state, frame)
         moved = k == 0
         assert (changed_speech[0] != speech[0]) == moved
@@ -274,7 +265,6 @@ def test_noise_var_tracks_stationary_noise():
     state = initialize(frames[:10], ())
     for i in range(110):
         inv, _ = _step(state, frames[i], hangover=0)
-        state.prev_denoised = np.zeros((1, 256))
         assert np.all(inv >= 0.0)
     median = float(np.median(state.noise_var))
     assert abs(median - sigma2) / sigma2 < 0.2
