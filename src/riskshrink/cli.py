@@ -221,7 +221,9 @@ def _cmd_curves(args, parser) -> int:
     header = ["xi_db"] + [k.value for k in kinds]
     xi_db = [lo + i * step for i in range(n)]
     xi = np.array([_db_to_power(v) for v in xi_db])
-    columns = gain_rows(kinds, np.broadcast_to(xi, (len(kinds), n)), args.alpha)
+    with np.errstate(divide="ignore", over="ignore"):
+        u = args.alpha / xi
+    columns = gain_rows(kinds, np.broadcast_to(u, (len(kinds), n)))
     rows = [[f"{v:.4f}"] + [f"{g:.9f}" for g in gs] for v, *gs in zip(xi_db, *columns)]
     _write_csv(args.out_csv or None, header, rows)
     return 0

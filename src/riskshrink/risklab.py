@@ -433,7 +433,7 @@ def verification_suite(n_samples: int, seed: int, grid_step: float) -> list[Chec
     ])
     sigma, xi, coin = scenes.T.reshape(3, len(kinds), _ORACLE_SCENES)
     x = np.where(coin < 0.5, sigma, -sigma) * np.sqrt(xi)
-    gains = gain_rows(kinds, xi).tolist()
+    gains = gain_rows(kinds, 1.0 / xi).tolist()
     for kind, g, xs, sigmas in zip(kinds, gains, x.tolist(), sigma.tolist()):
         worst = max(
             abs(gk - oracle_argmin(kind, xk, sk, grid_step))
@@ -454,7 +454,8 @@ def verification_suite(n_samples: int, seed: int, grid_step: float) -> list[Chec
     rows.append(high_snr_event_check(scene, n_samples, sub))
 
     # gain point values and asymptotes
-    points = gain_rows(kinds, np.tile([10.0, 1e9], (len(kinds), 1))).tolist()
+    u = np.tile(1.0 / np.array([10.0, 1e9]), (len(kinds), 1))
+    points = gain_rows(kinds, u).tolist()
     for kind, (at_10, at_1e9) in zip(kinds, points):
         rows.append(
             CheckResult(f"gain:{kind.value}:xi=10", at_10, GAIN_POINT_XI10[kind], 1e-6)

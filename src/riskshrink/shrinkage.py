@@ -1,11 +1,9 @@
 """Risk-optimal shrinkage gains for the seven supported distortion measures.
 
-Each measure maps an a-posteriori SNR ``xi = X**2 / sigma**2`` to a gain in
-``[0, 1]`` applied multiplicatively to the DCT coefficient.  The parametric
-refinement divides ``xi`` by ``alpha`` before evaluating the unit-alpha
-formula, so ``(xi, alpha)`` and ``(xi / alpha, 1.0)`` give the same gain exactly.
-
-Each gain is a clamp and a power of one polynomial in ``u = alpha / xi``, one
+Each measure maps an inverse a-posteriori SNR ``u = alpha / xi`` (with
+``xi = X**2 / sigma**2`` and the parametric refinement ``alpha``, both the
+caller's) to a gain in ``[0, 1]`` applied multiplicatively to the DCT
+coefficient.  Each gain is a clamp and a power of one polynomial in ``u``, one
 entry of ``_GAINS``.  :func:`gain_rows`, the one way into the table, evaluates
 a kind per row of a stack.
 """
@@ -48,28 +46,23 @@ _GAINS = {
 }
 
 
-def gain_rows(kinds, xi: np.ndarray, alpha: float = 1.0) -> np.ndarray:
-    """Gain in [0, 1] of each a-posteriori SNR in ``xi``, with the shape of ``xi``;
-    row ``xi[k]`` takes the gain of ``kinds[k]``.
+def gain_rows(kinds, u: np.ndarray) -> np.ndarray:
+    """Gain in [0, 1] of each inverse a-posteriori SNR in ``u``, with the shape
+    of ``u``; row ``u[k]`` takes the gain of ``kinds[k]``.
 
-    ``xi = 0`` gives 0 for every measure: the coefficient carries no signal
-    evidence and several formulas are singular there.  So do NaN and every
-    ``xi`` small enough that ``u = alpha / xi`` overflows.
+    No evidence means zero gain: a ``u`` that is not finite, ``inf`` (a zero
+    coefficient, where several formulas are singular) or NaN (``0 / 0``, a
+    zero coefficient on a zero noise floor), gives 0 for every measure.
     """
     for kind in kinds:
         if not isinstance(kind, ShrinkageKind):
             valid = ", ".join(k.value for k in ShrinkageKind)
             raise ValueError(f"kind must be a ShrinkageKind ({valid}), got {kind!r}")
-    if not 0.0 < alpha < np.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    xi = np.asarray(xi, dtype=np.float64)
-    if xi.shape[:1] != (len(kinds),):
-        raise ValueError(f"xi must have {len(kinds)} rows, got shape {xi.shape}")
-    if (xi < 0.0).any():  # NaN passes and maps to 0
-        raise ValueError("xi must be nonnegative")
+    u = np.asarray(u, dtype=np.float64)
+    if u.shape[:1] != (len(kinds),):
+        raise ValueError(f"u must have {len(kinds)} rows, got shape {u.shape}")
+    if (u < 0.0).any():  # NaN passes and maps to 0
+        raise ValueError("u must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = 1.0 / (xi / float(alpha))
         g = np.array([_GAINS[kind](row) for kind, row in zip(kinds, u)])
-        # past the xi < 0 refusal, u is +-inf where xi / alpha is +-0 or so small
-        # that its reciprocal overflows, and NaN at NaN: all of them shrink fully
         return np.where(np.isfinite(u), g, 0.0)

@@ -30,7 +30,8 @@ class TrackerState:
     """Tracker state, updated in place by :func:`step`.
 
     ``gain`` holds the previous frame's gain of each kind in ``rows``, shape
-    ``(rows, ..., bins)``; the VAD reads row ``mse_row``.  ``noise_var`` and
+    ``(rows, ..., bins)``, the result of that frame's one ``gain_rows`` call;
+    the VAD reads row ``mse_row``.  ``noise_var`` and
     ``prev_noisy_sq``, the previous frame's squared coefficients, have shape
     ``(..., bins)``, one row per input; ``hang`` holds the hangover frames
     left per input, and ``speech_frames`` the frames taken as speech so far
@@ -111,9 +112,10 @@ def step(
     updates with weight ``eta`` only otherwise.  Each row then has, with the
     updated variance and ``b = beta`` (``b = 1`` on the first frame),
     ``1/xi = b * noise_var/X**2 + (1-b) * (1 - g_prev**2)``, the previous
-    frame's ``S**2/X**2`` being its gain squared, and ``X = 0`` gives
-    ``1/xi = inf``, so zero gain.  Row ``k`` of ``gain`` becomes the gain of
-    ``rows[k]`` at ``xi`` and ``alpha``, by which the caller multiplies ``frame``.
+    frame's ``S**2/X**2`` being its gain squared.  ``X = 0`` gives
+    ``1/xi = inf``, or NaN where ``noise_var`` is 0 too, so zero gain.  Row
+    ``k`` of ``gain`` becomes the gain of ``rows[k]`` at ``u = alpha/xi``, by
+    which the caller multiplies ``frame``.
     """
     x_sq = frame**2
     raw = vad(x_sq, state) > config.vad_threshold
@@ -123,10 +125,9 @@ def step(
     update_noise(x_sq, speech, state, config.eta)
     b = config.beta if state.frames_seen else 1.0
     nv = state.noise_var
-    with np.errstate(divide="ignore", invalid="ignore"):
-        residual = 1.0 - state.gain**2
-        inv = np.where(x_sq > 0.0, b * nv / x_sq + (1.0 - b) * residual, np.inf)
-        state.gain = gain_rows(state.rows, 1.0 / inv, config.alpha)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv = b * nv / x_sq + (1.0 - b) * (1.0 - state.gain**2)
+        state.gain = gain_rows(state.rows, config.alpha * inv)
     state.prev_noisy_sq = x_sq
     state.frames_seen += 1
     return inv, speech

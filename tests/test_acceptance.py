@@ -81,7 +81,7 @@ def test_kkt_oracle_equivalence():
             sign = 1 if rng.random() < 0.5 else -1
             scenes.append((sigma, xi, sign * sigma * math.sqrt(xi)))
         sigmas, xis, xs = zip(*scenes)
-        gains = gain_rows([kind], [xis])[0].tolist()
+        gains = gain_rows([kind], [1.0 / np.array(xis)])[0].tolist()
         worst_by_kind[kind.value] = max(
             abs(g - oracle_argmin(kind, x, sigma, grid_step))
             for sigma, x, g in zip(sigmas, xs, gains)
@@ -129,7 +129,7 @@ def test_shrinkage_point_values():
     }
     bad = []
     for kind, value in expected.items():
-        at_10, at_1e9 = gain_rows([kind], [[10.0, 1e9]])[0].tolist()
+        at_10, at_1e9 = gain_rows([kind], [1.0 / np.array([10.0, 1e9])])[0].tolist()
         if abs(at_10 - value) > 1e-6:
             bad.append(f"{kind.value}@10")
         if abs(at_1e9 - 1.0) > 1e-6:

@@ -76,6 +76,26 @@ def test_curves_beyond_float_range_give_unit_gain(capsys):
         assert row[1:] == ["1.000000000"] * len(ShrinkageKind)
 
 
+# sha256 of the curves CSV; curves forms u = alpha / xi itself.  The gains
+# are printed to 9 decimals, so both numpy dispatches give the same bytes.
+_PINNED_CURVES_SHA256 = {
+    ("-10:40:0.01", "1.75"):
+        "66c0500603a9d207e7177e37becc55fec03ca8f280a8f3e9e02458e6c6c959f7",
+    # past 3082.5 dB xi overflows to inf; far below 0 dB u overflows
+    ("-3100:3100:0.5", "0.3"):
+        "6f942e08148e371dc702491ff896bb1b228deb326a8bc2fa4dd2288a37acb4c7",
+}
+
+
+@pytest.mark.parametrize("xi_db_range, alpha", list(_PINNED_CURVES_SHA256))
+def test_curves_csv_bytes_pinned(xi_db_range, alpha, tmp_path):
+    out = tmp_path / "curves.csv"
+    argv = ["curves", "--xi-db-range=" + xi_db_range, "--alpha", alpha, "--out-csv", str(out)]
+    assert main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == _PINNED_CURVES_SHA256[xi_db_range, alpha]
+
+
 @pytest.mark.parametrize(
     "xi_db_range",
     [

@@ -122,7 +122,7 @@ def test_determinism_bit_identical():
 
 
 def test_unit_gain_hook_reduces_to_roundtrip(monkeypatch):
-    monkeypatch.setattr(tracking, "gain_rows", lambda kinds, xi, alpha: np.ones_like(xi))
+    monkeypatch.setattr(tracking, "gain_rows", lambda kinds, u: np.ones_like(u))
     rng = np.random.default_rng(33)
     x = 0.3 * rng.standard_normal(4000)
     out = denoise(x, DenoiserConfig())
@@ -134,9 +134,9 @@ def test_unit_gain_hook_reduces_to_roundtrip(monkeypatch):
 def test_one_gain_call_per_frame_covers_every_stream(monkeypatch):
     calls = []
 
-    def counted(kinds, xi, alpha):
-        calls.append(xi.shape)
-        return shrinkage.gain_rows(kinds, xi, alpha)
+    def counted(kinds, u):
+        calls.append(u.shape)
+        return shrinkage.gain_rows(kinds, u)
 
     monkeypatch.setattr(tracking, "gain_rows", counted)
     noisy = np.random.default_rng(34).standard_normal((2, 4000))
@@ -234,16 +234,16 @@ def test_lockstep_without_mse_keeps_row_order():
 # np.exp, which the two round differently.
 _PINNED_SHA256 = {
     "AVX-512": {
-        "default": "ae59cb8c0e0890133bb4c90f57cf8a2e8f6d657ee000ed8016fca67d4da67ca7",
-        "init20_overlap0.5": "7a185e045f26880c0b0c426abd94e079184506251dda2155b2b8a9ecae0d2902",
-        "init1": "634a9178782f6cd10311641cac7922cfa7f0966db8981ebcdc186946b96d99bb",
-        "rate16000": "298ff07b34d1f7de1578501210b8846a54a9567926cbd6d13d8fa16beb271bcf",
+        "default": "c3fd7fe6a7261539db7f05c792fd404e03cd954d0b0c3a0ef412fc47db9cf50a",
+        "init20_overlap0.5": "9b276cc430176acfe0cfeb5062c854eb897a26432365ba07bb2f7a5622aaaa90",
+        "init1": "d92037975e9fd6ba76ecf2b4de20d8d07c54ecefa3c9d2c6315c8957e8901164",
+        "rate16000": "6f3f03d385bed2995c6b84f85f95fde3a03c21cdba48861f64d7aabef51841ce",
     },
     "AVX2": {
-        "default": "741ddac9db0e703754ff0502049a615ba7b3f9c771a372fc7586ea486a43caf7",
-        "init20_overlap0.5": "208bdf5c46a35bfaf1fa61c13d324aba22c783a3bc57b66d14c830a17f1e173a",
-        "init1": "54611e8974cfb4b6d7598ec303a5b84cc7eecebe6475df520c93a1e18c3aabca",
-        "rate16000": "35edb4122d20af54dffa3c788c3b40a340b5bc91a1c1a9664763cb085ebe58bf",
+        "default": "f12f400c72b7c7fb4e3dd306842d1ec990c0b8c5fcc684dd9f4cab2ceda2c785",
+        "init20_overlap0.5": "b184d479de2262125ba09e49462464d1569ebd8a94ecccdee8b8fb7f56d648a6",
+        "init1": "06f86132cbbf40e13db0db986f035b22c5e481234c8947ad573884a60560a875",
+        "rate16000": "3ad50097323b4d00a9042f8cc7e068238e191f5ebec2a67a5da4d6688afdde63",
     },
 }
 # The mse rows alone.  The VAD and the noise floor read the mse estimate, so
@@ -251,10 +251,10 @@ _PINNED_SHA256 = {
 # transcendental function, and on these inputs the VAD's np.log1p makes the
 # same decisions on both dispatches, so they have one digest.
 _PINNED_MSE_SHA256 = {
-    "default": "f1caf1a3d77c77abf52a0cfb8a512e84e209b06e3c068e8a43e72a605cefcc47",
-    "init20_overlap0.5": "57bd3526af0bce22659a6a03e8a38850cfcc1fb2baa58409c144000077f348e2",
-    "init1": "62ea87aee209e1df6e27cd33e23042f26c835eec2ad930c35a63eb4c69ab4788",
-    "rate16000": "ef0df0dfa2c6543b3652138a9a6dabfc7fb2396d01c1366550b8577623f3d3fb",
+    "default": "ff755b2e91741a32793598bd6963d6bbe9ebbe3193acaf361528cd62d4678c83",
+    "init20_overlap0.5": "7afc4af077cea2b6c9d0b4b587c7ac18ef6dfec3da936b8624cddd6cde5b4372",
+    "init1": "4cb4429f298498388e69669a6bee8f34f03131bf8e54134a12f29c4e34cd70fd",
+    "rate16000": "3c49b510870e999c7699a8e8a5312dbdbebc258b274233cdb1b17c26a940764a",
 }
 
 
@@ -290,13 +290,13 @@ def test_output_bits_pinned(case, overrides, voiced_buffer):
 # no row calls a transcendental function, so one digest serves both dispatches.
 _PINNED_ORDER_SHA256 = {
     ("default", "wcosh,is,wcosh"):
-        "14dc4d05ccaf11e390b91e39e0010fc570d93eae9256f22d8cb50afd5c0584d7",
+        "69da5a103751c8a289577a5f41e9c78f9cb705d3541d1eb6b5d2cdfdd4ed928c",
     ("default", "we,mse"):
-        "386735bf555a7bf6c2602cc32eba5544a85d503f8ef32349b2bfef2be828e8c6",
+        "d783cefe7d88e47d4bbfbfdb10c2f2c4dfc0f57796271297feb1483d4ef61a4f",
     ("init20_overlap0.5", "wcosh,is,wcosh"):
-        "919f98a3cd506bc4ce0138f927f1c979478e0830a2f1afdfd51e92a635491946",
+        "5f82e3e4125c87805d2856da248478d90cfb2f7c4ccf5ed82e35c381d8091009",
     ("init20_overlap0.5", "we,mse"):
-        "9a524e75d38b09212c15ebd42fb96dbf2a0bc93eabc6d367155fa0339bbdc3bc",
+        "11096e1a46d18a26edd55b6a79b0cfe1d7fabb6af0691168fe7e8ab1e7519eac",
 }
 
 

@@ -422,7 +422,7 @@ def test_oracle_matches_closed_form_at_interior_points(kind, xi):
     # clamped ones) of every gain; the constrained optimum of the estimate
     # must sit at the closed form regardless
     found = oracle_argmin(kind, math.sqrt(xi), 1.0)
-    assert abs(found - gain_rows([kind], [xi])[0]) <= 1e-4 + 1e-6
+    assert abs(found - gain_rows([kind], [1.0 / xi])[0]) <= 1e-4 + 1e-6
 
 
 def test_oracle_grid_step_validation():

@@ -11,7 +11,7 @@ from riskshrink.shrinkage import ShrinkageKind, gain_rows
 
 ALL_KINDS = list(ShrinkageKind)
 
-# closed-form values at xi = 10, alpha = 1
+# closed-form values at xi = 10, alpha = 1 (u = 0.1)
 POINT_XI10 = {
     ShrinkageKind.MSE: 0.9,
     ShrinkageKind.WE: 1.0 / 1.174,
@@ -25,33 +25,21 @@ POINT_XI10 = {
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_point_values_at_xi_10(kind):
-    assert gain_rows([kind], [10.0])[0] == pytest.approx(POINT_XI10[kind], abs=1e-6)
+    assert gain_rows([kind], [0.1])[0] == pytest.approx(POINT_XI10[kind], abs=1e-6)
 
 
 def test_mse_examples():
-    assert gain_rows([ShrinkageKind.MSE], [2.0])[0] == pytest.approx(0.5, abs=1e-15)
-    assert gain_rows([ShrinkageKind.MSE], [0.5])[0] == 0.0
+    assert gain_rows([ShrinkageKind.MSE], [0.5])[0] == pytest.approx(0.5, abs=1e-15)
+    assert gain_rows([ShrinkageKind.MSE], [2.0])[0] == 0.0
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_asymptote_and_zero(kind):
-    assert gain_rows([kind], [1e9])[0] == pytest.approx(1.0, abs=1e-6)
-    assert gain_rows([kind], [0.0])[0] == 0.0
-
-
-@pytest.mark.parametrize("kind", ALL_KINDS)
-def test_alpha_shift_is_exact(kind):
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        xi = 10.0 ** rng.uniform(-6, 9)
-        alpha = 10.0 ** rng.uniform(-1, 1)
-        assert gain_rows([kind], [xi], alpha)[0] == gain_rows([kind], [xi / alpha], 1.0)[0]
+    assert gain_rows([kind], [1e-9])[0] == pytest.approx(1.0, abs=1e-6)
+    assert gain_rows([kind], [np.inf])[0] == 0.0
 
 
 def test_parameter_validation():
-    for alpha in (0.0, -2.0, np.inf):
-        with pytest.raises(ValueError, match="alpha"):
-            gain_rows([ShrinkageKind.MSE], [1.0], alpha=alpha)
     with pytest.raises(ValueError):
         gain_rows([ShrinkageKind.MSE], [-1.0])
     with pytest.raises(ValueError):
@@ -63,17 +51,20 @@ def test_parameter_validation():
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.75, 3.0])
 def test_range_invariant(kind, alpha):
+    # u = alpha / xi as curves forms it, overflowing to inf at tiny xi
     rng = np.random.default_rng(4)
     xi = np.concatenate(
         [[0.0, 1e-300, 1e9, np.inf], 10.0 ** rng.uniform(-8, 10, size=2000)]
     )
-    g = gain_rows([kind], [xi], alpha)[0]
+    with np.errstate(divide="ignore", over="ignore"):
+        u = alpha / xi
+    g = gain_rows([kind], [u])[0]
     assert np.all(g >= 0.0)
     assert np.all(g <= 1.0)
     assert np.all(np.isfinite(g))
 
 
-# closed-form values at xi / alpha = 1 (u = 1)
+# closed-form values at u = 1
 POINT_UNIT = {
     ShrinkageKind.MSE: 0.0,
     ShrinkageKind.WE: 1.0 / 409.0,
@@ -87,19 +78,19 @@ POINT_UNIT = {
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.75])
 def test_pinned_values(alpha):
-    # zero, subnormal (1/xi_eff overflows), tiny and NaN xi shrink fully;
-    # infinite xi passes; unit xi_eff hits each closed form
-    xi_eff = np.array([0.0, 1e-320, 1e-300, np.nan, np.inf, 1.0])
+    # u = alpha / xi as curves forms it: xi = 0, a subnormal xi (u overflows)
+    # and NaN shrink fully, as does a huge u; infinite xi (u = 0) passes;
+    # u = 1 hits each closed form
+    xi = np.array([0.0, 1e-320, 1e-300, np.nan, np.inf, 1.0]) * alpha
+    with np.errstate(divide="ignore", over="ignore"):
+        u = alpha / xi
     for kind in ALL_KINDS:
         want = [0.0, 0.0, 0.0, 0.0, 1.0, POINT_UNIT[kind]]
-        got = gain_rows([kind], [xi_eff * alpha], alpha)[0].tolist()
+        got = gain_rows([kind], [u])[0].tolist()
         assert got == pytest.approx(want, rel=1e-14, abs=0.0), kind
 
 
-# In a test name, gain_array is the one-row call gain_rows([kind], [xi], alpha)[0].
-
-
-def test_gain_array_nan_is_zero_without_warning():
+def test_nan_u_is_zero_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = gain_rows([ShrinkageKind.MSE], [np.full(4, np.nan)])[0]
@@ -108,33 +99,34 @@ def test_gain_array_nan_is_zero_without_warning():
 
 @pytest.mark.parametrize("alpha", [1e-300, 1.0, 1e300])
 def test_gain_is_zero_exactly_where_u_is_not_finite(alpha):
-    # xi = +-0 and NaN, and an xi / alpha whose reciprocal overflows (5e-324 at
-    # alpha 1) or that underflows to 0 (5e-324 at alpha 1e300), shrink fully;
-    # every other point is the table's formula, and xi = inf keeps all
-    xi = np.array([0.0, -0.0, np.nan, np.inf, 5e-324, 1e308])
-    zero = np.array([True, True, True, False, alpha >= 1.0, False])
+    # u = alpha * inv as tracking.step forms it from an inverse SNR: inf, NaN
+    # and a product that overflows (1e308 at alpha 1e300) shrink fully; every
+    # other point, an underflow to 0 (5e-324 at alpha 1e-300) included, is the
+    # table's formula, and u = +-0 keeps all
+    with np.errstate(over="ignore"):
+        u = alpha * np.array([np.inf, np.nan, 0.0, -0.0, 5e-324, 1e308])
+    zero = np.array([True, True, False, False, False, alpha > 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        g = gain_rows(ALL_KINDS, np.tile(xi, (len(ALL_KINDS), 1)), alpha)
+        g = gain_rows(ALL_KINDS, np.tile(u, (len(ALL_KINDS), 1)))
     for kind, row in zip(ALL_KINDS, g):
         assert row[zero].tobytes() == np.zeros(zero.sum()).tobytes(), kind
-        with np.errstate(divide="ignore", over="ignore"):
-            want = shrinkage._GAINS[kind](1.0 / (xi[~zero] / alpha))
+        with np.errstate(over="ignore"):
+            want = shrinkage._GAINS[kind](u[~zero])
         assert row[~zero].tobytes() == want.tobytes(), kind
-        assert row[3] == 1.0, kind
+        assert row[2] == row[3] == 1.0, kind
 
 
 @pytest.mark.parametrize("kind", ["mse", 0, None])
 def test_unknown_kind_rejected(kind):
-    # including xi = 0, where every formula would return 0 before the kind is used
-    for xi in (0.0, 10.0):
+    # including u = inf, where every kind gives 0 before the kind is used
+    for u in (np.inf, 0.1):
         with pytest.raises(ValueError, match="ShrinkageKind"):
-            gain_rows([kind], [np.array([xi])])
+            gain_rows([kind], [np.array([u])])
 
 
-# zero, the smallest subnormal, subnormals whose reciprocal overflows, tiny,
-# huge, infinite and NaN
-EDGE_XI = [0.0, 5e-324, 1e-320, 1e-300, 1e300, np.inf, np.nan]
+# zero, the smallest subnormal, a subnormal, tiny, huge, infinite and NaN
+EDGE_U = [0.0, 5e-324, 1e-320, 1e-300, 1e300, np.inf, np.nan]
 
 
 @pytest.mark.parametrize(
@@ -147,38 +139,34 @@ EDGE_XI = [0.0, 5e-324, 1e-320, 1e-300, 1e300, np.inf, np.nan]
     ],
     ids=["enum-order", "reversed", "repeated", "single"],
 )
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.75])
-def test_gain_rows_row_k_is_gain_array_bitwise(kinds, alpha):
+def test_gain_rows_row_k_is_its_one_row_call_bitwise(kinds):
     rng = np.random.default_rng(6)
     n = len(kinds)
-    flat = 10.0 ** rng.uniform(-10, 12, size=(n, 500))
-    flat[:, : len(EDGE_XI)] = EDGE_XI
-    stacked = 10.0 ** rng.uniform(-4, 6, size=(n, 3, 40))  # (kinds, inputs, bins)
-    stacked[:, 1, : len(EDGE_XI)] = EDGE_XI
-    for xi in (flat, stacked):
-        g = gain_rows(kinds, xi, alpha)
-        assert g.shape == xi.shape
+    flat = 10.0 ** rng.uniform(-12, 10, size=(n, 500))
+    flat[:, : len(EDGE_U)] = EDGE_U
+    stacked = 10.0 ** rng.uniform(-6, 4, size=(n, 3, 40))  # (kinds, inputs, bins)
+    stacked[:, 1, : len(EDGE_U)] = EDGE_U
+    for u in (flat, stacked):
+        g = gain_rows(kinds, u)
+        assert g.shape == u.shape
         for k, kind in enumerate(kinds):
-            want = gain_rows([kind], [xi[k]], alpha)[0]
+            want = gain_rows([kind], [u[k]])[0]
             assert g[k].tobytes() == want.tobytes(), (kind, k)
 
 
-def test_gain_array_keeps_the_shape_of_xi():
+def test_one_row_keeps_the_shape_of_u():
     # a one-row stack keeps the shape of its row, 0-d for a scalar
-    g = gain_rows([ShrinkageKind.WE], [4.0])[0, ...]
+    g = gain_rows([ShrinkageKind.WE], [0.25])[0, ...]
     assert isinstance(g, np.ndarray) and g.shape == ()
     assert gain_rows([ShrinkageKind.WE], [np.ones((2, 3))])[0].shape == (2, 3)
 
 
 def test_gain_rows_validation():
-    xi = np.ones((2, 4))
+    u = np.ones((2, 4))
     kinds = [ShrinkageKind.MSE, ShrinkageKind.IS]
     with pytest.raises(ValueError, match="kind must be a ShrinkageKind"):
-        gain_rows([ShrinkageKind.MSE, "is"], xi)
-    for alpha in (0.0, -1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="alpha must be positive and finite"):
-            gain_rows(kinds, xi, alpha)
-    with pytest.raises(ValueError, match="xi must be nonnegative"):
+        gain_rows([ShrinkageKind.MSE, "is"], u)
+    with pytest.raises(ValueError, match="u must be nonnegative"):
         gain_rows(kinds, np.array([[1.0, 2.0], [np.nan, -1.0]]))
     for rows in (np.ones((3, 4)), np.ones(4)[:1], np.float64(1.0)):
         with pytest.raises(ValueError, match="rows"):
@@ -195,7 +183,7 @@ def test_monotonicity_diagnostic_scan():
     # to see the counts.
     xi = 10.0 ** np.linspace(0.0, 6.0, 50_001)
     for kind in ALL_KINDS:
-        g = gain_rows([kind], [xi])[0]
+        g = gain_rows([kind], [1.0 / xi])[0]
         drops = int(np.sum(np.diff(g) < -1e-15))
         print(f"monotonicity scan {kind.value}: {drops} decreasing steps")
 
@@ -215,6 +203,7 @@ def test_gain_matches_grid_oracle(kind):
         sign = 1 if rng.random() < 0.5 else -1
         scenes.append((sigma, xi, sign * sigma * math.sqrt(xi)))
     sigmas, xis, xs = zip(*scenes)
-    for sigma, x, g in zip(sigmas, xs, gain_rows([kind], [xis])[0].tolist()):
+    gains = gain_rows([kind], [1.0 / np.array(xis)])[0].tolist()
+    for sigma, x, g in zip(sigmas, xs, gains):
         best = oracle_argmin(kind, x, sigma, grid_step=1e-3)
         assert abs(g - best) <= 1e-3

@@ -217,6 +217,35 @@ def test_inv_xi_zero_bin_is_infinite():
     assert np.isfinite(inv[0, 1])
 
 
+def test_silent_bin_on_a_zero_floor_gives_zero_gain_for_every_kind():
+    # X = 0 on a zero noise floor is 0/0: its inverse SNR is NaN, not inf, and
+    # its gain is 0 for every kind all the same, with no warning
+    kinds = list(ShrinkageKind)
+    state = initialize(np.zeros((1, 4)), kinds)
+    frame = np.array([0.0, 0.0, 3.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):  # the first frame at b = 1, then the blend at beta
+            inv, _ = _step(state, frame)
+            assert np.isnan(inv[:, [0, 1, 3]]).all()
+            assert (inv[:, 2] == 0.0).all()
+            np.testing.assert_array_equal(
+                state.gain, np.tile([0.0, 0.0, 1.0, 0.0], (len(kinds), 1))
+            )
+
+
+def test_tiny_coefficient_gives_zero_gain_without_warning():
+    # X**2 subnormal: noise_var / X**2 overflows (1e-160), or alpha * (1/xi)
+    # does (8e-155); both are u = inf, so zero gain, and neither warns
+    state = initialize(np.ones((1, 3)), list(ShrinkageKind))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv, _ = _step(state, np.array([1e-160, 8e-155, 10.0]), threshold=1e9, eta=1.0)
+    assert np.isinf(inv[:, 0]).all() and np.isfinite(inv[:, 1]).all()
+    assert (state.gain[:, :2] == 0.0).all()
+    assert (state.gain[:, 2] > 0.0).all()
+
+
 def test_inv_xi_first_frame_forces_unit_beta():
     state = _state([4.0], frames_seen=0)
     inv, _ = _step(state, np.array([2.0]), threshold=1e9, eta=1.0, beta=0.98)
