@@ -128,6 +128,8 @@ def test_unknown_kind_rejected(kind):
 # zero, the smallest subnormal, a subnormal, tiny, huge, infinite and NaN
 EDGE_U = [0.0, 5e-324, 1e-320, 1e-300, 1e300, np.inf, np.nan]
 
+# In a test name, gain_array is the one-row call gain_rows([kind], [u])[0].
+
 
 @pytest.mark.parametrize(
     "kinds",
@@ -139,14 +141,18 @@ EDGE_U = [0.0, 5e-324, 1e-320, 1e-300, 1e300, np.inf, np.nan]
     ],
     ids=["enum-order", "reversed", "repeated", "single"],
 )
-def test_gain_rows_row_k_is_its_one_row_call_bitwise(kinds):
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.75])
+def test_gain_rows_row_k_is_gain_array_bitwise(kinds, alpha):
+    # u = alpha * inv as tracking.step forms it; at alpha 0.5 the smallest
+    # subnormal underflows to 0
     rng = np.random.default_rng(6)
     n = len(kinds)
     flat = 10.0 ** rng.uniform(-12, 10, size=(n, 500))
     flat[:, : len(EDGE_U)] = EDGE_U
     stacked = 10.0 ** rng.uniform(-6, 4, size=(n, 3, 40))  # (kinds, inputs, bins)
     stacked[:, 1, : len(EDGE_U)] = EDGE_U
-    for u in (flat, stacked):
+    for inv in (flat, stacked):
+        u = alpha * inv
         g = gain_rows(kinds, u)
         assert g.shape == u.shape
         for k, kind in enumerate(kinds):
