@@ -64,5 +64,8 @@ def gain_rows(kinds, u: np.ndarray) -> np.ndarray:
     if (u < 0.0).any():  # NaN passes and maps to 0
         raise ValueError("u must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = np.array([_GAINS[kind](row) for kind, row in zip(kinds, u)])
-        return np.where(np.isfinite(u), g, 0.0)
+        g = np.empty(u.shape)
+        for k, kind in enumerate(kinds):
+            g[k] = _GAINS[kind](u[k])
+    np.copyto(g, 0.0, where=~np.isfinite(u))
+    return g

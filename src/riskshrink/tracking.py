@@ -72,29 +72,48 @@ def initialize(first_frames: np.ndarray, kinds) -> TrackerState:
     )
 
 
-def vad(x_sq: np.ndarray, state: TrackerState) -> np.ndarray:
+def vad(x_sq: np.ndarray, state: TrackerState, mse_gain_sq=None) -> np.ndarray:
     """Average per-bin log-likelihood ratio of speech presence, per input.
 
     ``x_sq`` is the frame's squared coefficients.  Per bin the term is
     ``gamma * rho / (1 + rho) - log(1 + rho)`` with ``gamma`` the
     a-posteriori SNR and ``rho`` a decision-directed prior SNR blending the
     previous mse estimate, ``g_mse**2 * prev_noisy_sq``, with the current
-    observation.
+    observation.  ``mse_gain_sq`` is ``g_mse**2``, squared from ``state``
+    when not given; :func:`step` passes the square it shares with the
+    recursion.
     """
     nv = state.noise_var
-    g = state.gain[state.mse_row]
+    if mse_gain_sq is None:
+        mse_gain_sq = np.square(state.gain[state.mse_row])
     with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = np.minimum(np.where(x_sq > 0.0, x_sq / nv, 0.0), _GAMMA_CAP)
-        dd = np.where(nv > 0.0, _DD_WEIGHT * (g * g * state.prev_noisy_sq) / nv, 0.0)
-    rho = np.minimum(dd + (1.0 - _DD_WEIGHT) * np.maximum(gamma - 1.0, 0.0), _GAMMA_CAP)
-    return np.mean(gamma * rho / (1.0 + rho) - np.log1p(rho), axis=-1)
+        gamma = np.divide(x_sq, nv)
+        np.copyto(gamma, 0.0, where=~(x_sq > 0.0))
+        np.minimum(gamma, _GAMMA_CAP, out=gamma)
+        dd = np.multiply(mse_gain_sq, state.prev_noisy_sq)
+        dd *= _DD_WEIGHT
+        dd /= nv
+        np.copyto(dd, 0.0, where=~(nv > 0.0))
+    rho = np.subtract(gamma, 1.0)
+    np.maximum(rho, 0.0, out=rho)
+    rho *= 1.0 - _DD_WEIGHT
+    rho += dd
+    np.minimum(rho, _GAMMA_CAP, out=rho)
+    # gamma * rho / (1 + rho) - log1p(rho), reusing gamma and dd
+    gamma *= rho
+    gamma /= np.add(rho, 1.0, out=dd)
+    gamma -= np.log1p(rho, out=dd)
+    return np.add.reduce(gamma, axis=-1) / gamma.shape[-1]
 
 
 def update_noise(
     x_sq: np.ndarray, speech: np.ndarray, state: TrackerState, eta: float
 ) -> None:
     """Exponential noise-variance update in place, frozen in speech inputs."""
-    blended = eta * state.noise_var + (1.0 - eta) * x_sq
+    if speech.all():
+        return
+    blended = np.multiply(state.noise_var, eta)
+    blended += np.multiply(x_sq, 1.0 - eta)
     np.copyto(state.noise_var, blended, where=~speech[..., None])
 
 
@@ -117,17 +136,22 @@ def step(
     ``k`` of ``gain`` becomes the gain of ``rows[k]`` at ``u = alpha/xi``, by
     which the caller multiplies ``frame``.
     """
-    x_sq = frame**2
-    raw = vad(x_sq, state) > config.vad_threshold
+    x_sq = np.square(frame)
+    gain_sq = np.square(state.gain)
+    raw = vad(x_sq, state, gain_sq[state.mse_row]) > config.vad_threshold
     speech = raw | (state.hang > 0)
     state.hang = np.where(raw, config.vad_hangover, np.maximum(state.hang - 1, 0))
     state.speech_frames += speech
     update_noise(x_sq, speech, state, config.eta)
     b = config.beta if state.frames_seen else 1.0
-    nv = state.noise_var
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv = b * nv / x_sq + (1.0 - b) * (1.0 - state.gain**2)
-        state.gain = gain_rows(state.rows, config.alpha * inv)
+        posterior = np.multiply(state.noise_var, b)
+        posterior /= x_sq
+        # (1 - b) * (1 - g_prev**2) + b * noise_var / X**2, in gain_sq's memory
+        inv = np.subtract(1.0, gain_sq, out=gain_sq)
+        inv *= 1.0 - b
+        inv += posterior
+        state.gain = gain_rows(state.rows, np.multiply(inv, config.alpha))
     state.prev_noisy_sq = x_sq
     state.frames_seen += 1
     return inv, speech
