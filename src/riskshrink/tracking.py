@@ -86,7 +86,7 @@ def vad(x_sq: np.ndarray, state: TrackerState, mse_gain_sq=None) -> np.ndarray:
     nv = state.noise_var
     if mse_gain_sq is None:
         mse_gain_sq = np.square(state.gain[state.mse_row])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gamma = np.divide(x_sq, nv)
         np.copyto(gamma, 0.0, where=~(x_sq > 0.0))
         np.minimum(gamma, _GAMMA_CAP, out=gamma)

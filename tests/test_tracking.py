@@ -246,6 +246,20 @@ def test_tiny_coefficient_gives_zero_gain_without_warning():
     assert (state.gain[:, 2] > 0.0).all()
 
 
+def test_subnormal_noise_floor_steps_without_warning():
+    # a floor decaying towards 0 passes through the subnormal range: there
+    # x**2 / noise_var overflows in gamma, and g**2 * prev_noisy_sq /
+    # noise_var in the VAD's prior on the next frame; both fall to the cap
+    state = initialize(np.full((1, 4), 1e-155), ())
+    assert 0.0 < state.noise_var[0] < np.finfo(np.float64).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            _, speech = _step(state, np.ones(4))
+            assert speech
+    assert (state.gain > 0.0).all()
+
+
 def test_inv_xi_first_frame_forces_unit_beta():
     state = _state([4.0], frames_seen=0)
     inv, _ = _step(state, np.array([2.0]), threshold=1e9, eta=1.0, beta=0.98)
