@@ -8,6 +8,13 @@ analysis window a second time and normalizes by the summed squared window,
 which inverts analysis on every sample: with the Hamming window (never below
 0.08) and a hop of at most one frame, every sample's norm is at least 0.0064.
 
+The DCT and its inverse each take one real FFT of ``np.fft``, by Makhoul's
+algorithm (J. Makhoul, "A fast cosine transform in one and two dimensions",
+IEEE Trans. ASSP 28(1), 1980): the frame's even samples in order followed by
+its odd samples reversed are transformed, and a twiddle factor per FFT bin,
+built once per frame length, maps bin ``k`` to coefficients ``k`` and
+``n - k``.  It works for every frame length, odd ones included.
+
 Both directions run block by block: analysis slices a read-only frame view
 (:func:`frame_view`), synthesis accumulates blocks of frames in place
 (:func:`overlap_add_block`) and normalizes once at the end
@@ -15,10 +22,11 @@ Both directions run block by block: analysis slices a read-only frame view
 no buffer of frames or coefficients needs to span the signal.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 from numpy.lib.stride_tricks import sliding_window_view
 
 
@@ -60,14 +68,64 @@ def frame_view(signal: np.ndarray, grid: FrameGrid) -> np.ndarray:
     return sliding_window_view(padded, grid.frame_len, axis=-1)[..., :: grid.hop, :]
 
 
+@functools.lru_cache(maxsize=16)
+def _twiddles(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only twiddle factors of the ``n``-point transform, one per bin
+    ``k = 0 .. n//2`` of the real FFT: forward ``2 s_k exp(-i pi k / 2n)``
+    and inverse ``exp(i pi k / 2n) / (2 s_k)``, where ``s_0 = sqrt(1/4n)``
+    and ``s_k = sqrt(1/2n)`` are the orthonormal scales.  ``math`` computes
+    them, so they do not depend on numpy's SIMD dispatch."""
+    forward, inverse = [], []
+    for k in range(n // 2 + 1):
+        angle = math.pi * k / (2 * n)
+        two_s = math.sqrt((1.0 if k == 0 else 2.0) / n)
+        forward.append(complex(two_s * math.cos(angle), -two_s * math.sin(angle)))
+        inverse.append(complex(math.cos(angle) / two_s, math.sin(angle) / two_s))
+    tables = np.array(forward), np.array(inverse)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def dct_forward(windowed_frame: np.ndarray) -> np.ndarray:
     """Orthonormal DCT-II along the last axis."""
-    return scipy.fft.dct(windowed_frame, type=2, norm="ortho", axis=-1)
+    x = np.asarray(windowed_frame, dtype=np.float64)
+    n = x.shape[-1]
+    if n < 1:
+        raise ValueError("cannot transform an empty frame")
+    # even samples in order, then odd samples reversed
+    half = (n + 1) // 2
+    v = np.empty(x.shape)
+    v[..., :half] = x[..., ::2]
+    v[..., half:] = x[..., 1::2][..., ::-1]
+    spec = np.fft.rfft(v, axis=-1)
+    spec *= _twiddles(n)[0]
+    # coefficient k is Re(spec[k]); coefficient n - k is -Im(spec[k]).  v is
+    # free again, and reusing it keeps two frame-sized buffers live, not three.
+    v[..., : n // 2 + 1] = spec.real
+    np.negative(spec.imag[..., (n - 1) // 2 : 0 : -1], out=v[..., n // 2 + 1 :])
+    return v
 
 
 def dct_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`dct_forward` (orthonormal DCT-III)."""
-    return scipy.fft.idct(coeffs, type=2, norm="ortho", axis=-1)
+    c = np.asarray(coeffs, dtype=np.float64)
+    n = c.shape[-1]
+    if n < 1:
+        raise ValueError("cannot transform an empty frame")
+    # spec[k] = c[k] - i c[n - k], with c[n] = 0, undoes dct_forward's map
+    spec = np.empty(c.shape[:-1] + (n // 2 + 1,), dtype=np.complex128)
+    spec.real = c[..., : n // 2 + 1]
+    spec.imag[..., 0] = 0.0
+    np.negative(c[..., : (n - 1) // 2 : -1], out=spec.imag[..., 1:])
+    spec *= _twiddles(n)[1]
+    v = np.fft.irfft(spec, n=n, axis=-1)
+    del spec  # so that at most two frame-sized buffers are live
+    half = (n + 1) // 2
+    x = np.empty(c.shape)
+    x[..., ::2] = v[..., :half]
+    x[..., 1::2] = v[..., : half - 1 : -1]
+    return x
 
 
 def overlap_add_block(

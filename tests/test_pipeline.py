@@ -228,22 +228,23 @@ def test_lockstep_without_mse_keeps_row_order():
             )
 
 
-# sha256 of the raw float64 output of denoise_kinds, computed with numpy 2.4.6
-# and scipy 1.17.1; another build may round the transforms differently.  One
-# digest per numpy dispatch (conftest.NUMPY_DISPATCH): the log_mse rows call
-# np.exp, which the two round differently.
+# sha256 of the raw float64 output of denoise_kinds, computed with numpy 2.4.6,
+# whose pocketfft real FFT carries the DCT (stdct), on Python 3.11.7, x86-64;
+# another numpy build may round the transforms differently.  One digest per
+# numpy dispatch (conftest.NUMPY_DISPATCH): the log_mse rows call np.exp, which
+# the two round differently.
 _PINNED_SHA256 = {
     "AVX-512": {
-        "default": "c3fd7fe6a7261539db7f05c792fd404e03cd954d0b0c3a0ef412fc47db9cf50a",
-        "init20_overlap0.5": "9b276cc430176acfe0cfeb5062c854eb897a26432365ba07bb2f7a5622aaaa90",
-        "init1": "d92037975e9fd6ba76ecf2b4de20d8d07c54ecefa3c9d2c6315c8957e8901164",
-        "rate16000": "6f3f03d385bed2995c6b84f85f95fde3a03c21cdba48861f64d7aabef51841ce",
+        "default": "ba696f946668d038ae68ad3a3ab9785c6e03bc98959bb1330daffa5c080344df",
+        "init20_overlap0.5": "e3fb21944a89d4a6d33730a8c01fcf8a2c75be4202c4ceadd2ba57c4446a1d7e",
+        "init1": "61d470b2548e556493a2fb813fe2190bf411875034a5d6548e0c8b0a43efdff5",
+        "rate16000": "f289aaeae4861463f87aae01cc6f4374fff17af4ea20894627ef08ab9da3e2d0",
     },
     "AVX2": {
-        "default": "f12f400c72b7c7fb4e3dd306842d1ec990c0b8c5fcc684dd9f4cab2ceda2c785",
-        "init20_overlap0.5": "b184d479de2262125ba09e49462464d1569ebd8a94ecccdee8b8fb7f56d648a6",
-        "init1": "06f86132cbbf40e13db0db986f035b22c5e481234c8947ad573884a60560a875",
-        "rate16000": "3ad50097323b4d00a9042f8cc7e068238e191f5ebec2a67a5da4d6688afdde63",
+        "default": "6bdc2efd3bc025c307bc69711bd143105ea69d1617bf8c5742eb9e50dcda57af",
+        "init20_overlap0.5": "232e6fc193e70fb77677fd04c40d7c34669f6cb76123a1bee9b85bb84ff8c769",
+        "init1": "ed74c32f2b30ea2b107e3c25052e9befb898827bd21c45706d8948564f19e89f",
+        "rate16000": "3bcd25991b1a2ad07f1b08c3836ddfa583b5bb2edf852a2cb3219f01123c2d23",
     },
 }
 # The mse rows alone.  The VAD and the noise floor read the mse estimate, so
@@ -251,10 +252,10 @@ _PINNED_SHA256 = {
 # transcendental function, and on these inputs the VAD's np.log1p makes the
 # same decisions on both dispatches, so they have one digest.
 _PINNED_MSE_SHA256 = {
-    "default": "ff755b2e91741a32793598bd6963d6bbe9ebbe3193acaf361528cd62d4678c83",
-    "init20_overlap0.5": "7afc4af077cea2b6c9d0b4b587c7ac18ef6dfec3da936b8624cddd6cde5b4372",
-    "init1": "4cb4429f298498388e69669a6bee8f34f03131bf8e54134a12f29c4e34cd70fd",
-    "rate16000": "3c49b510870e999c7699a8e8a5312dbdbebc258b274233cdb1b17c26a940764a",
+    "default": "5053ce94961997eaebe827c841b96fd5bcb03e8ff41a367c8d635552c46f857b",
+    "init20_overlap0.5": "17f5287570abef3025283f833674f096704c6adb3ef6ee7bced0b03a6251d5fb",
+    "init1": "2f6fc2bd76c5cc1a2c2abf12f6065ae6bc880ecedeabaf11b30b612fe36edee8",
+    "rate16000": "d76fc86daaf7e927272e6349b368388d0c281b0f3821f31b8d7c1305124f26b7",
 }
 
 
@@ -290,13 +291,13 @@ def test_output_bits_pinned(case, overrides, voiced_buffer):
 # no row calls a transcendental function, so one digest serves both dispatches.
 _PINNED_ORDER_SHA256 = {
     ("default", "wcosh,is,wcosh"):
-        "69da5a103751c8a289577a5f41e9c78f9cb705d3541d1eb6b5d2cdfdd4ed928c",
+        "f42727f5aab38251069b975c5751181a4aaabdcadd79cee80e56beff5e949c35",
     ("default", "we,mse"):
-        "d783cefe7d88e47d4bbfbfdb10c2f2c4dfc0f57796271297feb1483d4ef61a4f",
+        "f3bfa4dfffac48bd590f5a8096298896e29044f91882bf03db6f02b29b6b4f64",
     ("init20_overlap0.5", "wcosh,is,wcosh"):
-        "5f82e3e4125c87805d2856da248478d90cfb2f7c4ccf5ed82e35c381d8091009",
+        "d60edbfd4ff41b68d715c47b5a463ea52d32f8d6f675b32c7ceedc7ebc2072e2",
     ("init20_overlap0.5", "we,mse"):
-        "11096e1a46d18a26edd55b6a79b0cfe1d7fabb6af0691168fe7e8ab1e7519eac",
+        "946af03d41462db164d11f77034a276fb566a5bd122f89386a83d234b8122511",
 }
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, reject, strategies as st
 
 from riskshrink.pipeline import DenoiserConfig
@@ -117,6 +118,25 @@ def test_dct_roundtrip():
     rng = np.random.default_rng(8)
     x = rng.standard_normal(320)
     np.testing.assert_allclose(dct_inverse(dct_forward(x)), x, rtol=1e-9, atol=1e-12)
+
+
+# A few ulps of the largest value: scipy's DCT and the real-FFT form round
+# differently, and both errors grow with log(n).
+_ULPS = 8 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("n", list(range(1, 65)) + [320, 441, 640, 882])
+def test_dct_matches_scipy_within_a_few_ulps(n):
+    # every frame length: even and odd, the 8/16 kHz frames and those of
+    # 11025 and 22050 Hz; leading axes are independent frames
+    x = np.random.default_rng(n).standard_normal((2, 3, n))
+    for ours, reference in ((dct_forward, scipy.fft.dct), (dct_inverse, scipy.fft.idct)):
+        want = reference(x, type=2, norm="ortho", axis=-1)
+        got = ours(x)
+        assert got.shape == x.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=_ULPS * np.max(np.abs(want)))
+    back = dct_inverse(dct_forward(x))
+    np.testing.assert_allclose(back, x, rtol=0, atol=_ULPS * np.max(np.abs(x)))
 
 
 def test_parseval_on_analyzed_frames():
