@@ -72,25 +72,22 @@ def initialize(first_frames: np.ndarray, kinds) -> TrackerState:
     )
 
 
-def vad(x_sq: np.ndarray, state: TrackerState, mse_gain_sq=None) -> np.ndarray:
+def vad(x_sq: np.ndarray, state: TrackerState) -> np.ndarray:
     """Average per-bin log-likelihood ratio of speech presence, per input.
 
     ``x_sq`` is the frame's squared coefficients.  Per bin the term is
     ``gamma * rho / (1 + rho) - log(1 + rho)`` with ``gamma`` the
     a-posteriori SNR and ``rho`` a decision-directed prior SNR blending the
     previous mse estimate, ``g_mse**2 * prev_noisy_sq``, with the current
-    observation.  ``mse_gain_sq`` is ``g_mse**2``, squared from ``state``
-    when not given; :func:`step` passes the square it shares with the
-    recursion.
+    observation.
     """
     nv = state.noise_var
-    if mse_gain_sq is None:
-        mse_gain_sq = np.square(state.gain[state.mse_row])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         gamma = np.divide(x_sq, nv)
         np.copyto(gamma, 0.0, where=~(x_sq > 0.0))
         np.minimum(gamma, _GAMMA_CAP, out=gamma)
-        dd = np.multiply(mse_gain_sq, state.prev_noisy_sq)
+        dd = np.square(state.gain[state.mse_row])
+        dd *= state.prev_noisy_sq
         dd *= _DD_WEIGHT
         dd /= nv
         np.copyto(dd, 0.0, where=~(nv > 0.0))
@@ -137,8 +134,7 @@ def step(
     which the caller multiplies ``frame``.
     """
     x_sq = np.square(frame)
-    gain_sq = np.square(state.gain)
-    raw = vad(x_sq, state, gain_sq[state.mse_row]) > config.vad_threshold
+    raw = vad(x_sq, state) > config.vad_threshold
     speech = raw | (state.hang > 0)
     state.hang = np.where(raw, config.vad_hangover, np.maximum(state.hang - 1, 0))
     state.speech_frames += speech
@@ -147,8 +143,9 @@ def step(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         posterior = np.multiply(state.noise_var, b)
         posterior /= x_sq
-        # (1 - b) * (1 - g_prev**2) + b * noise_var / X**2, in gain_sq's memory
-        inv = np.subtract(1.0, gain_sq, out=gain_sq)
+        # (1 - b) * (1 - g_prev**2) + b * noise_var / X**2
+        inv = np.square(state.gain)
+        np.subtract(1.0, inv, out=inv)
         inv *= 1.0 - b
         inv += posterior
         state.gain = gain_rows(state.rows, np.multiply(inv, config.alpha))
