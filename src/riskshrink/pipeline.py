@@ -136,7 +136,8 @@ def _run(x: np.ndarray, config: DenoiserConfig, kinds):
             tracking.step(state, coeffs[:, j], config)
             np.multiply(state.gain[: len(kinds)], coeffs[:, j], out=denoised[:, :, j])
         synthesized = stdct.dct_inverse(denoised)
-        stdct.overlap_add_block(out, synthesized, grid, window, start)
+        synthesized *= window
+        stdct.overlap_add_block(out, synthesized, grid, start)
     stdct.overlap_normalize(out, grid, window)
     return out[..., : x.shape[-1]], state
 

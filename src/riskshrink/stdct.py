@@ -3,10 +3,12 @@ overlap-add.
 
 The transform is the orthonormal DCT-II, so every analyzed frame satisfies
 Parseval (sum of squares preserved) and i.i.d. time-domain noise of variance
-``sigma**2`` keeps that variance per coefficient.  Synthesis applies the
-analysis window a second time and normalizes by the summed squared window,
-which inverts analysis on every sample: with the Hamming window (never below
-0.08) and a hop of at most one frame, every sample's norm is at least 0.0064.
+``sigma**2`` keeps that variance per coefficient.  Synthesis mirrors
+analysis: the caller multiplies each inverse-transformed frame by the window,
+as it did each analyzed frame, and the frames are overlap-added and divided
+by the overlap-add of ``window * window``, which inverts analysis on every
+sample: with the Hamming window (never below 0.08) and a hop of at most one
+frame, every sample's norm is at least 0.0064.
 
 The DCT and its inverse each take one real FFT of ``np.fft``, by Makhoul's
 algorithm (J. Makhoul, "A fast cosine transform in one and two dimensions",
@@ -16,7 +18,7 @@ built once per frame length, maps bin ``k`` to coefficients ``k`` and
 ``n - k``.  It works for every frame length, odd ones included.
 
 Both directions run block by block: analysis slices a read-only frame view
-(:func:`frame_view`), synthesis accumulates blocks of frames in place
+(:func:`frame_view`), synthesis adds blocks of windowed frames in place
 (:func:`overlap_add_block`) and normalizes once at the end
 (:func:`overlap_normalize`).  Any split into blocks gives the same bits, so
 no buffer of frames or coefficients needs to span the signal.
@@ -129,9 +131,10 @@ def dct_inverse(coeffs: np.ndarray) -> np.ndarray:
 
 
 def overlap_add_block(
-    out: np.ndarray, frames: np.ndarray, grid: FrameGrid, window: np.ndarray, first: int
+    out: np.ndarray, frames: np.ndarray, grid: FrameGrid, first: int
 ) -> None:
-    """Accumulate windowed frames ``first, first+1, ...`` into ``out`` in place.
+    """Add frames ``first, first+1, ...`` into ``out`` in place, unweighted:
+    the caller applies the synthesis window.
 
     ``frames`` has shape ``(..., n, frame_len)`` and ``out`` shape
     ``(..., padded_len)``.  Every sample sums its frames in grid order, so
@@ -139,16 +142,15 @@ def overlap_add_block(
     """
     for j in range(frames.shape[-2]):
         start = (first + j) * grid.hop
-        out[..., start : start + grid.frame_len] += frames[..., j, :] * window
+        out[..., start : start + grid.frame_len] += frames[..., j, :]
 
 
 def overlap_normalize(out: np.ndarray, grid: FrameGrid, window: np.ndarray) -> np.ndarray:
-    """Divide accumulated overlap-add output by the summed squared window, in
-    place.  Every sample of the grid lies in some frame, so with the Hamming
-    window that sum is at least ``0.08**2``."""
+    """Divide accumulated overlap-add output in place by the overlap-add of
+    ``window * window`` over the grid.  Every sample of the grid lies in some
+    frame, so with the Hamming window that sum is at least ``0.08**2``."""
     norm = np.zeros(grid.padded_len)
-    overlap_add_block(
-        norm, np.broadcast_to(window, (grid.num_frames, grid.frame_len)), grid, window, 0
-    )
+    squares = np.broadcast_to(window * window, (grid.num_frames, grid.frame_len))
+    overlap_add_block(norm, squares, grid, 0)
     out /= norm
     return out

@@ -31,15 +31,14 @@ class TrackerState:
 
     ``gain`` holds the previous frame's gain of each kind in ``rows``, shape
     ``(rows, ..., bins)``, the result of that frame's one ``gain_rows`` call;
-    the VAD reads row ``mse_row``.  ``noise_var`` and
-    ``prev_noisy_sq``, the previous frame's squared coefficients, have shape
-    ``(..., bins)``, one row per input; ``hang`` holds the hangover frames
-    left per input, and ``speech_frames`` the frames taken as speech so far
-    (hangover included).  No field is a view of memory the caller owns.
+    the VAD reads the first mse row.  ``noise_var`` and ``prev_noisy_sq``, the
+    previous frame's squared coefficients, have shape ``(..., bins)``, one row
+    per input; ``hang`` holds the hangover frames left per input, and
+    ``speech_frames`` the frames taken as speech so far (hangover included).
+    No field is a view of memory the caller owns.
     """
 
     rows: list
-    mse_row: int
     noise_var: np.ndarray
     gain: np.ndarray
     prev_noisy_sq: np.ndarray
@@ -63,7 +62,6 @@ def initialize(first_frames: np.ndarray, kinds) -> TrackerState:
         rows.append(ShrinkageKind.MSE)
     return TrackerState(
         rows=rows,
-        mse_row=rows.index(ShrinkageKind.MSE),
         noise_var=noise_var,
         gain=np.zeros((len(rows),) + noise_var.shape),
         prev_noisy_sq=np.zeros_like(noise_var),
@@ -86,7 +84,7 @@ def vad(x_sq: np.ndarray, state: TrackerState) -> np.ndarray:
         gamma = np.divide(x_sq, nv)
         np.copyto(gamma, 0.0, where=~(x_sq > 0.0))
         np.minimum(gamma, _GAMMA_CAP, out=gamma)
-        dd = np.square(state.gain[state.mse_row])
+        dd = np.square(state.gain[state.rows.index(ShrinkageKind.MSE)])
         dd *= state.prev_noisy_sq
         dd *= _DD_WEIGHT
         dd /= nv

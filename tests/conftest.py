@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
-from numpy._core._multiarray_umath import __cpu_features__
+from numpy.lib.introspect import opt_func_info
 
 from riskshrink.audio import AudioBuffer
 
@@ -13,13 +13,29 @@ from riskshrink.audio import AudioBuffer
 settings.register_profile("derandomized", derandomize=True, deadline=None)
 settings.load_profile("derandomized")
 
+
+def dispatch_target(ufunc: str) -> str:
+    """The SIMD target that numpy's float64 ``ufunc`` takes on this machine,
+    as numpy's public introspection reports it (``X86_V4``, ``X86_V3``, ...)."""
+    info = opt_func_info(func_name=f"^{ufunc}$", signature="float64")
+    return info[ufunc]["dd"]["current"]
+
+
 # The numpy SIMD path that keys the bit pins whose rows call a transcendental
-# function.  numpy 2.4.6 takes its AVX-512 path when X86_V4 is enabled, and its
-# AVX2 path when it is not, for instance under
+# function, read from the target of np.exp, which the log_mse rows call.
+# numpy 2.4.6 takes its AVX-512 (X86_V4) path where the CPU has it, and its
+# AVX2 (X86_V3) path otherwise, for instance under
 # NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4" (CI runs the tests that
 # way too, so every runner checks the AVX2 digests).  The two round np.exp,
 # np.log1p, np.log and float ** differently, by at most 1 ulp.
-NUMPY_DISPATCH = "AVX-512" if __cpu_features__.get("X86_V4") else "AVX2"
+NUMPY_DISPATCH = "AVX-512" if dispatch_target("exp") == "X86_V4" else "AVX2"
+
+
+def pytest_report_header(config):
+    return (
+        f"numpy {np.__version__} float64 targets: exp {dispatch_target('exp')}, "
+        f"log {dispatch_target('log')}; checking the {NUMPY_DISPATCH} digests"
+    )
 
 
 def make_voiced(

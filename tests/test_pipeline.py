@@ -178,8 +178,8 @@ def test_frame_by_frame_with_reused_buffers_equals_denoise_kinds():
         coeffs[...] = stdct.dct_forward(frames[:, j] * window)
         tracking.step(state, coeffs, cfg)
         np.multiply(state.gain[: len(kinds)], coeffs, out=denoised)
-        synthesized = stdct.dct_inverse(denoised)[..., None, :]
-        stdct.overlap_add_block(out, synthesized, grid, window, j)
+        synthesized = stdct.dct_inverse(denoised)[..., None, :] * window
+        stdct.overlap_add_block(out, synthesized, grid, j)
         coeffs.fill(np.nan)
         denoised.fill(np.nan)
     stdct.overlap_normalize(out, grid, window)

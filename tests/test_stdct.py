@@ -29,10 +29,10 @@ def naive_dct(x: np.ndarray) -> np.ndarray:
 
 
 def synthesize(frames: np.ndarray, grid: FrameGrid, window: np.ndarray) -> np.ndarray:
-    """Whole-signal weighted overlap-add: every frame in one block, then the
-    normalization, as the pipeline does block by block."""
+    """Whole-signal weighted overlap-add: every frame windowed and added in
+    one block, then the normalization, as the pipeline does block by block."""
     out = np.zeros(grid.padded_len)
-    overlap_add_block(out, frames, grid, window, 0)
+    overlap_add_block(out, frames * window, grid, 0)
     return overlap_normalize(out, grid, window)
 
 
@@ -173,6 +173,43 @@ def test_overlap_add_zero_frames():
     grid = make_frame_grid(800, 320, 80)
     out = synthesize(np.zeros((grid.num_frames, 320)), grid, hamming_window(320))
     assert np.all(out == 0.0)
+
+
+_GEOMETRIES = pytest.mark.parametrize(
+    "frame_len, hop", [(320, 80), (441, 110)], ids=["hop-divides", "hop-does-not-divide"]
+)
+
+
+@_GEOMETRIES
+@pytest.mark.parametrize(
+    "first_frames",
+    [range(0, 64), range(0, 64, 16), [0, 5, 6, 23, 25, 40, 41]],
+    ids=["blocks-of-1", "blocks-of-16", "uneven-blocks"],
+)
+def test_any_split_into_blocks_gives_the_same_bits(frame_len, hop, first_frames):
+    # The pipeline adds 16 frames at a time and a streaming caller one at a
+    # time; either way every sample sums its frames in grid order.
+    grid = make_frame_grid(frame_len + 50 * hop + 7, frame_len, hop)
+    frames = np.random.default_rng(hop).standard_normal((2, grid.num_frames, frame_len))
+    frames *= hamming_window(frame_len)
+    whole = np.zeros((2, grid.padded_len))
+    overlap_add_block(whole, frames, grid, 0)
+    split = np.zeros((2, grid.padded_len))
+    starts = [f for f in first_frames if f < grid.num_frames]
+    for start, stop in zip(starts, starts[1:] + [grid.num_frames]):
+        overlap_add_block(split, frames[:, start:stop], grid, start)
+    assert split.tobytes() == whole.tobytes()
+
+
+@_GEOMETRIES
+def test_normalizer_is_the_overlap_add_of_the_squared_window(frame_len, hop):
+    grid = make_frame_grid(frame_len + 50 * hop + 7, frame_len, hop)
+    window = hamming_window(frame_len)
+    norm = np.zeros(grid.padded_len)
+    overlap_add_block(norm, np.tile(window * window, (grid.num_frames, 1)), grid, 0)
+    signal = np.random.default_rng(frame_len).standard_normal(grid.padded_len)
+    normalized = overlap_normalize(signal.copy(), grid, window)
+    assert normalized.tobytes() == (signal / norm).tobytes()
 
 
 def test_identity_roundtrip_interior():

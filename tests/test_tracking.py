@@ -17,7 +17,6 @@ def _state(noise_var, gain=None, prev_noisy=None, frames_seen=1):
     gain = zeros[None] if gain is None else np.asarray(gain, float)
     return TrackerState(
         rows=[ShrinkageKind.MSE] * len(gain),
-        mse_row=0,
         noise_var=noise_var,
         gain=gain,
         prev_noisy_sq=zeros if prev_noisy is None else np.asarray(prev_noisy, float) ** 2,
