@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import fields
@@ -606,6 +607,51 @@ def test_the_cli_needs_no_scipy(tmp_path, voiced_buffer):
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
     )
     assert fresh.returncode == 0, fresh.stderr
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+def test_repeated_verify_does_not_refault_freed_memory():
+    # each check row frees arrays of 800 kB; under glibc's default thresholds
+    # the next row maps and faults them in again, about 212,000 minor faults
+    # per call, while main's allocator policy leaves a few dozen
+    result = _run_python(
+        "import contextlib, io, resource\n"
+        "from riskshrink.cli import main\n"
+        "argv = ['verify', '--samples', '100000', '--seed', '0', '--grid-step', '1e-2']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(argv)\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    main(argv)\n"
+        "    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "print(after - before)\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 10_000
+
+
+def test_cli_runs_unchanged_without_mallopt():
+    # where the C library cannot be looked up, main runs as before; the lookup
+    # is made once per process however often main runs
+    argv = ["curves", "--xi-db-range=0:1:1"]
+    result = _run_python(
+        "import contextlib, ctypes, io\n"
+        "from riskshrink.cli import main\n"
+        "lookups = []\n"
+        "def no_libc(*args, **kwargs):\n"
+        "    lookups.append(args)\n"
+        "    raise OSError('no C library')\n"
+        "ctypes.CDLL = no_libc\n"
+        "outs = []\n"
+        "for _ in range(3):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"        assert main({argv!r}) == 0\n"
+        "    outs.append(out.getvalue())\n"
+        "assert len(lookups) == 1, lookups\n"
+        "assert outs[0] == outs[1] == outs[2]\n"
+        "print(outs[0], end='')\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == _run_module(argv).stdout
 
 
 @pytest.mark.parametrize(
