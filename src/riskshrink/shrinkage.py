@@ -4,8 +4,9 @@ Each measure maps an inverse a-posteriori SNR ``u = alpha / xi`` (with
 ``xi = X**2 / sigma**2`` and the parametric refinement ``alpha``, both the
 caller's) to a gain in ``[0, 1]`` applied multiplicatively to the DCT
 coefficient.  Each gain is a clamp and a power of one polynomial in ``u``, one
-entry of ``_GAINS``.  :func:`gain_rows`, the one way into the table, evaluates
-a kind per row of a stack.
+entry of ``_GAINS``.  :func:`gain_rows` evaluates a kind per row of a stack
+after checking its arguments; :func:`gain_rows_unchecked`, the tracker's
+per-frame call, evaluates the same table without the checks.
 """
 
 import enum
@@ -46,6 +47,29 @@ _GAINS = {
 }
 
 
+def _check_kinds(kinds) -> None:
+    """Raise ``ValueError`` unless every entry of ``kinds`` is a ShrinkageKind."""
+    for kind in kinds:
+        if not isinstance(kind, ShrinkageKind):
+            valid = ", ".join(k.value for k in ShrinkageKind)
+            raise ValueError(f"kind must be a ShrinkageKind ({valid}), got {kind!r}")
+
+
+def gain_rows_unchecked(kinds, u: np.ndarray) -> np.ndarray:
+    """:func:`gain_rows` without its checks and without its ``np.errstate``.
+
+    For a caller that has checked ``kinds`` once, forms ``u`` itself as a
+    float64 array of ``len(kinds)`` rows, each entry nonnegative, inf or NaN,
+    and keeps floating-point warnings off around the call: ``tracking.step``,
+    once per frame.  Returns a new array.
+    """
+    g = np.empty(u.shape)
+    for k, kind in enumerate(kinds):
+        g[k] = _GAINS[kind](u[k])
+    np.copyto(g, 0.0, where=~np.isfinite(u))
+    return g
+
+
 def gain_rows(kinds, u: np.ndarray) -> np.ndarray:
     """Gain in [0, 1] of each inverse a-posteriori SNR in ``u``, with the shape
     of ``u``; row ``u[k]`` takes the gain of ``kinds[k]``.
@@ -54,18 +78,11 @@ def gain_rows(kinds, u: np.ndarray) -> np.ndarray:
     coefficient, where several formulas are singular) or NaN (``0 / 0``, a
     zero coefficient on a zero noise floor), gives 0 for every measure.
     """
-    for kind in kinds:
-        if not isinstance(kind, ShrinkageKind):
-            valid = ", ".join(k.value for k in ShrinkageKind)
-            raise ValueError(f"kind must be a ShrinkageKind ({valid}), got {kind!r}")
+    _check_kinds(kinds)
     u = np.asarray(u, dtype=np.float64)
     if u.shape[:1] != (len(kinds),):
         raise ValueError(f"u must have {len(kinds)} rows, got shape {u.shape}")
     if (u < 0.0).any():  # NaN passes and maps to 0
         raise ValueError("u must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g = np.empty(u.shape)
-        for k, kind in enumerate(kinds):
-            g[k] = _GAINS[kind](u[k])
-    np.copyto(g, 0.0, where=~np.isfinite(u))
-    return g
+        return gain_rows_unchecked(kinds, u)

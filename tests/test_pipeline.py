@@ -122,7 +122,7 @@ def test_determinism_bit_identical():
 
 
 def test_unit_gain_hook_reduces_to_roundtrip(monkeypatch):
-    monkeypatch.setattr(tracking, "gain_rows", lambda kinds, u: np.ones_like(u))
+    monkeypatch.setattr(tracking, "gain_rows_unchecked", lambda kinds, u: np.ones_like(u))
     rng = np.random.default_rng(33)
     x = 0.3 * rng.standard_normal(4000)
     out = denoise(x, DenoiserConfig())
@@ -136,9 +136,9 @@ def test_one_gain_call_per_frame_covers_every_stream(monkeypatch):
 
     def counted(kinds, u):
         calls.append(u.shape)
-        return shrinkage.gain_rows(kinds, u)
+        return shrinkage.gain_rows_unchecked(kinds, u)
 
-    monkeypatch.setattr(tracking, "gain_rows", counted)
+    monkeypatch.setattr(tracking, "gain_rows_unchecked", counted)
     noisy = np.random.default_rng(34).standard_normal((2, 4000))
     cfg = DenoiserConfig()
     out = denoise_kinds(noisy, cfg, list(ShrinkageKind))
@@ -146,6 +146,30 @@ def test_one_gain_call_per_frame_covers_every_stream(monkeypatch):
     assert out.shape == (7, 2, 4000)
     assert len(calls) == frames
     assert set(calls) == {(7, 2, cfg.frame_len)}
+
+
+def test_kinds_are_checked_once_before_the_first_frame(monkeypatch):
+    # a string is not a kind: building the tracker state refuses it, so no
+    # frame reaches the per-frame gain call; a valid run checks its rows once
+    gains = []
+    monkeypatch.setattr(tracking, "gain_rows_unchecked", lambda kinds, u: gains.append(u))
+    noisy = np.random.default_rng(35).standard_normal((1, 4000))
+    with pytest.raises(ValueError, match="kind must be a ShrinkageKind"):
+        tracking.initialize(np.ones((1, 3, 8)), ["mse"])
+    with pytest.raises(ValueError, match="kind must be a ShrinkageKind"):
+        denoise_kinds(noisy, DenoiserConfig(), ["mse"])
+    assert gains == []
+    monkeypatch.undo()
+
+    checks = []
+
+    def counted(kinds):
+        checks.append(list(kinds))
+        shrinkage._check_kinds(kinds)
+
+    monkeypatch.setattr(tracking, "_check_kinds", counted)
+    denoise_kinds(noisy, DenoiserConfig(), [ShrinkageKind.WE, ShrinkageKind.IS])
+    assert checks == [[ShrinkageKind.WE, ShrinkageKind.IS, ShrinkageKind.MSE]]
 
 
 def _lockstep_inputs(n):

@@ -1,9 +1,11 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from riskshrink.pipeline import DenoiserConfig
+from riskshrink import shrinkage
 from riskshrink.shrinkage import ShrinkageKind
 from riskshrink.tracking import TrackerState, initialize, step, vad
 
@@ -295,6 +297,28 @@ def test_step_records_history():
     np.testing.assert_array_equal(state.prev_noisy_sq, [1.0, 4.0])
 
 
+def test_step_buffer_contract():
+    # What a caller may keep across steps: the returned inv and speech and the
+    # gain array held before a step are never written again.  The array
+    # prev_noisy_sq held before a step is the state's scratch: the next step
+    # squares its frame into it and hands it back as prev_noisy_sq.
+    x = np.random.default_rng(24).standard_normal((2, 12, 16))
+    x[0, 6:8] *= 10.0  # input 0 speaks, input 1 does not
+    state = initialize(x[:, :3], [ShrinkageKind.WE])
+    kept, held = [], []
+    for j in range(x.shape[1]):
+        held.append(state.prev_noisy_sq)
+        gain = state.gain
+        inv, speech = step(state, x[:, j], DenoiserConfig())
+        kept += [(a, a.copy()) for a in (gain, inv, speech)]
+        assert state.gain is not gain and state.prev_noisy_sq is not held[-1]
+        if j:
+            assert held[j - 1] is state.prev_noisy_sq
+        assert state.prev_noisy_sq.tobytes() == np.square(x[:, j]).tobytes()
+    assert all(_bits(a) == _bits(copy) for a, copy in kept)
+    assert state.speech_frames[0] > state.speech_frames[1]  # frames of mixed decisions
+
+
 # ---------------------------------------------------------------------------
 # long-run statistical behavior
 # ---------------------------------------------------------------------------
@@ -310,3 +334,175 @@ def test_noise_var_tracks_stationary_noise():
         assert np.all(inv >= 0.0)
     median = float(np.median(state.noise_var))
     assert abs(median - sigma2) / sigma2 < 0.2
+
+
+# ---------------------------------------------------------------------------
+# the step against a reference transcription
+# ---------------------------------------------------------------------------
+# The reference is a plain transcription of the step as it stood before it
+# reused buffers, cached the floor's mask, took 0-d array constants and opened
+# one np.errstate per frame: fresh arrays, Python float constants, every mask
+# recomputed, every gain row evaluated through the shrinkage table.  The step
+# must match it bit for bit, field by field.
+
+
+def _reference_initialize(first_frames, kinds):
+    noise_var = np.mean(first_frames**2, axis=-2)
+    rows = list(kinds)
+    if ShrinkageKind.MSE not in rows:
+        rows.append(ShrinkageKind.MSE)
+    return SimpleNamespace(
+        rows=rows,
+        noise_var=noise_var,
+        gain=np.zeros((len(rows),) + noise_var.shape),
+        prev_noisy_sq=np.zeros_like(noise_var),
+        hang=np.zeros(noise_var.shape[:-1], dtype=np.int64),
+        speech_frames=np.zeros(noise_var.shape[:-1], dtype=np.int64),
+        frames_seen=0,
+    )
+
+
+def _reference_vad(x_sq, ref):
+    nv = ref.noise_var
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        gamma = np.divide(x_sq, nv)
+        np.copyto(gamma, 0.0, where=~(x_sq > 0.0))
+        np.minimum(gamma, 1e6, out=gamma)
+        dd = np.square(ref.gain[ref.rows.index(ShrinkageKind.MSE)])
+        dd *= ref.prev_noisy_sq
+        dd *= 0.98
+        dd /= nv
+        np.copyto(dd, 0.0, where=~(nv > 0.0))
+    rho = np.subtract(gamma, 1.0)
+    np.maximum(rho, 0.0, out=rho)
+    rho *= 1.0 - 0.98
+    rho += dd
+    np.minimum(rho, 1e6, out=rho)
+    gamma *= rho
+    gamma /= np.add(rho, 1.0, out=dd)
+    gamma -= np.log1p(rho, out=dd)
+    return np.add.reduce(gamma, axis=-1) / gamma.shape[-1]
+
+
+def _reference_step(ref, frame, config):
+    x_sq = np.square(frame)
+    raw = _reference_vad(x_sq, ref) > config.vad_threshold
+    speech = raw | (ref.hang > 0)
+    ref.hang = np.where(raw, config.vad_hangover, np.maximum(ref.hang - 1, 0))
+    ref.speech_frames += speech
+    if not speech.all():
+        blended = np.multiply(ref.noise_var, config.eta)
+        blended += np.multiply(x_sq, 1.0 - config.eta)
+        np.copyto(ref.noise_var, blended, where=~speech[..., None])
+    b = config.beta if ref.frames_seen else 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        posterior = np.multiply(ref.noise_var, b)
+        posterior /= x_sq
+        inv = np.square(ref.gain)
+        np.subtract(1.0, inv, out=inv)
+        inv *= 1.0 - b
+        inv += posterior
+        u = np.multiply(inv, config.alpha)
+        gain = np.empty(u.shape)
+        for k, kind in enumerate(ref.rows):
+            gain[k] = shrinkage._GAINS[kind](u[k])
+    np.copyto(gain, 0.0, where=~np.isfinite(u))
+    ref.gain = gain
+    ref.prev_noisy_sq = x_sq
+    ref.frames_seen += 1
+    return inv, speech
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+_REFERENCE_FIELDS = (
+    "noise_var", "gain", "prev_noisy_sq", "hang", "speech_frames",
+)
+
+
+def _reference_frames(inputs, bins=12, frames=80, seed=0):
+    """Seeded frames, shape ``(inputs, frames, bins)``, whose first 4 frames
+    initialize the floor.  Bin 0 is silent throughout the initialization, so
+    its floor starts at 0, and rises later; bins 1 and 2 start on a subnormal
+    floor and are mostly silent, so with ``eta < 0.5`` their floors underflow
+    to 0, and frame 12, where both speak on a zero floor, is speech.  Later
+    frames hold exact zeros, subnormal coefficients and coefficients whose
+    squares underflow, quiet noise and loud bursts that the VAD takes for
+    speech; one input has a digital-silence stretch."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((inputs, frames, bins))
+    pick = rng.random(x.shape)
+    x[pick < 0.08] = 0.0
+    x[(pick >= 0.08) & (pick < 0.12)] = 1e-160
+    x[(pick >= 0.12) & (pick < 0.14)] = 5e-324
+    x[rng.random((inputs, frames)) < 0.3] *= 12.0
+    x[..., :4, 0] = 0.0
+    x[..., 1:3] = np.where(rng.random((inputs, frames, 2)) < 0.7, 0.0, x[..., 1:3])
+    x[..., :4, 1:3] = 1e-161
+    x[..., 4:12, 1:3] = 0.0
+    x[..., 12, 1:3] = 5.0
+    x[-1, 30:38] = 0.0
+    return x
+
+
+_REFERENCE_KINDS = {
+    "all": list(ShrinkageKind),
+    "repeated-no-mse": [ShrinkageKind.WE, ShrinkageKind.COSH, ShrinkageKind.WE],
+    "mse-twice": [ShrinkageKind.LOG_MSE, ShrinkageKind.MSE, ShrinkageKind.MSE],
+    "single": [ShrinkageKind.WCOSH],
+}
+
+# Each configuration with what its run must go through.  With 12 bins a
+# single capped gamma reads about 8e4, so at threshold 1e5 a frame with one
+# live coefficient on a zero floor is still noise and that floor rises.
+_REFERENCE_CONFIGS = {
+    "default": (DenoiserConfig(), {"speech", "noise", "hangover"}),
+    "unit-beta-eta": (
+        DenoiserConfig(beta=1.0, eta=1.0, vad_hangover=0), {"speech", "noise"}
+    ),
+    "fast-floor": (
+        DenoiserConfig(eta=0.3, beta=0.6, vad_hangover=3, vad_threshold=1e5),
+        {"speech", "noise", "hangover", "rose", "fell"},
+    ),
+}
+
+
+@pytest.mark.parametrize("config", _REFERENCE_CONFIGS.values(), ids=_REFERENCE_CONFIGS)
+@pytest.mark.parametrize("kinds", _REFERENCE_KINDS.values(), ids=_REFERENCE_KINDS)
+@pytest.mark.parametrize("inputs", [None, 1, 2, 3])
+def test_step_matches_reference_bit_for_bit(inputs, kinds, config):
+    # inputs=None: one input without its axis, frames of shape (bins,)
+    config, expected = config
+    x = _reference_frames(inputs or 1, seed=inputs or 0)
+    if inputs is None:
+        x = x[0]
+    state = initialize(x[..., :4, :], kinds)
+    ref = _reference_initialize(x[..., :4, :], kinds)
+    assert state.rows == ref.rows
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for j in range(x.shape[-2]):
+            frame = x[..., j, :]
+            assert _bits(vad(np.square(frame), state)) == _bits(
+                _reference_vad(np.square(frame), ref)
+            ), j
+            live = ref.noise_var > 0.0
+            inv, speech = step(state, frame, config)
+            want_inv, want_speech = _reference_step(ref, frame, config)
+            assert _bits(inv) == _bits(want_inv), j
+            assert _bits(speech) == _bits(want_speech), j
+            for name in _REFERENCE_FIELDS:
+                assert _bits(getattr(state, name)) == _bits(getattr(ref, name)), (j, name)
+            assert state.rows == ref.rows and state.frames_seen == ref.frames_seen
+            seen |= {name for name, happened in (
+                ("speech", speech.any()),
+                ("noise", not speech.all()),
+                ("hangover", (ref.hang > 0).any()),
+                ("rose", (~live & (ref.noise_var > 0.0)).any()),
+                ("fell", (live & (ref.noise_var == 0.0)).any()),
+            ) if happened}
+    assert expected <= seen
