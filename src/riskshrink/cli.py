@@ -9,6 +9,7 @@ import argparse
 import csv
 import ctypes
 import functools
+import itertools
 import json
 import math
 import sys
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import risklab
 from .audio import WavFormatError, mix_at_snr, read_wav, read_wav_header
-from .metrics import GainReport, gain_report
-from .pipeline import DenoiserConfig, denoise_file, denoise_kinds
+from .metrics import GainReport, SpanScorer
+from .pipeline import DenoiserConfig, denoise_file, denoise_spans
 from .shrinkage import ShrinkageKind, gain_rows
 
 # Bounds on outside input that would otherwise allocate without limit: the
@@ -204,16 +205,22 @@ def _cmd_evaluate(args, parser) -> int:
     kinds = [k for k in ShrinkageKind if k in kinds]  # row order, no repeats
     config = DenoiserConfig(sample_rate=clean.sample_rate, alpha=args.alpha)
     metrics = [f.name for f in fields(GainReport)]
+    snrs = sorted(snrs)
+    # every SNR and seed is one stream of a single lockstep run, scored as
+    # the denoiser finishes each span; stream s * len(seeds) + i mixes the
+    # s-th SNR with the i-th seed
+    noisy = np.empty((len(snrs) * len(seeds), len(clean)))
+    for row, (snr_db, seed) in enumerate(itertools.product(snrs, seeds)):
+        noisy[row] = mix_at_snr(clean, noise, snr_db, seed_offset=seed).samples
+    scorer = SpanScorer(clean.samples, noisy, config.frame_len, len(kinds))
+    for lo, span in denoise_spans(noisy, config, kinds):
+        scorer.add(lo, span)
+    reports = scorer.reports()
     rows = []
-    for snr_db in sorted(snrs):
-        noisy = [mix_at_snr(clean, noise, snr_db, seed_offset=seed) for seed in seeds]
-        out = denoise_kinds(np.stack([buf.samples for buf in noisy]), config, kinds)
+    for s, snr_db in enumerate(snrs):
         for k, kind in enumerate(kinds):
-            reports = [
-                gain_report(clean.samples, buf.samples, out[k, i], config.frame_len)
-                for i, buf in enumerate(noisy)
-            ]
-            means = [float(np.mean([getattr(r, m) for r in reports])) for m in metrics]
+            group = reports[k][s * len(seeds) : (s + 1) * len(seeds)]
+            means = [float(np.mean([getattr(r, m) for r in group])) for m in metrics]
             rows.append(
                 [Path(args.clean).name, kind.value, f"{args.alpha:.6f}", f"{snr_db:.2f}"]
                 + [f"{v:.6f}" for v in means]

@@ -8,7 +8,11 @@ per-bin gain), then the inverse transform and weighted overlap-add.
 
 Several streams run in lockstep, every input row with every requested gain:
 one tracker step per frame for all of them.  Analysis and synthesis go in
-blocks of frames, so no buffer of coefficients spans the whole signal.
+blocks of frames, and the output leaves in spans as soon as no later frame
+touches them (:func:`denoise_spans`), so memory per stream is one block,
+whatever the signal's length.  ``evaluate`` runs every SNR x seed mixture
+with every kind in one such pass and scores each span as it leaves; the
+other entry points collect the spans into the whole output.
 """
 
 from dataclasses import dataclass, replace
@@ -107,11 +111,16 @@ _BLOCK_FRAMES = 16
 
 
 def _run(x: np.ndarray, config: DenoiserConfig, kinds):
-    """Denoise every row of the float64 array ``x`` (shape ``(inputs,
-    samples)``) with every gain in ``kinds``, all streams in lockstep.
+    """Check the float64 array ``x`` (shape ``(inputs, samples)``) and build
+    the tracker from its leading frames, to denoise every row with every gain
+    in ``kinds``, all streams in lockstep.
 
-    Returns ``(out, state)``: the output, shape ``(kinds, inputs, samples)``,
-    and the tracker state after the last frame.
+    Returns ``(state, spans)``.  ``spans`` yields ``(lo, out)`` in order, with
+    ``out`` of shape ``(kinds, inputs, m)`` the finished output samples ``lo``
+    to ``lo + m``; together the spans cover ``x`` once.  ``out`` is a view of a
+    buffer that the next span overwrites.  ``state`` is the tracker state,
+    advanced in place as ``spans`` runs: after the last span it has seen
+    every frame.
     """
     if not np.all(np.isfinite(x)):
         raise ValueError("input contains NaN or Inf samples")
@@ -126,20 +135,84 @@ def _run(x: np.ndarray, config: DenoiserConfig, kinds):
 
     grid = stdct.make_frame_grid(x.shape[-1], frame_len, hop)
     window = stdct.hamming_window(frame_len)
-    frames = stdct.frame_view(x, grid)
-    state = tracking.initialize(stdct.dct_forward(frames[:, :init] * window), kinds)
-    out = np.zeros((len(kinds), x.shape[0], grid.padded_len))
+    # every frame but a last one that runs past the end lies inside x
+    inside = stdct.frame_view(x, grid, 0, (x.shape[-1] - frame_len) // hop + 1)
+    state = tracking.initialize(stdct.dct_forward(inside[:, :init] * window), kinds)
+    return state, _spans(x, inside, grid, window, state, config, len(kinds))
+
+
+def _spans(x, inside, grid, window, state, config, n_kinds):
+    """The span generator of :func:`_run`; ``inside`` views the frames that
+    lie inside ``x``.
+
+    A block of frames starting at frame ``start`` finishes every sample
+    before the next block's first frame.  Overlap-add runs in a rolling
+    accumulator that starts at sample ``start * hop`` and spans one block's
+    frames; the samples still open after a block move to its front.  The
+    normalizer, the overlap-add of ``window * window``, rolls the same way,
+    so every sample sums the same terms in the same order as one whole-signal
+    accumulator would.  Synthesis runs one kind at a time, in place in the
+    block of denoised coefficients; that block, the accumulators and the
+    span buffer are allocated once per run.
+    """
+    frame_len, hop = grid.frame_len, grid.hop
+    inputs = x.shape[0]
+    width = (_BLOCK_FRAMES - 1) * hop + frame_len
+    acc = np.zeros((n_kinds, inputs, width))
+    norm = np.zeros(width)
+    squares = np.broadcast_to(window * window, (_BLOCK_FRAMES, frame_len))
+    denoised = np.empty((n_kinds, inputs, _BLOCK_FRAMES, frame_len))
+    out = np.empty((n_kinds, inputs, width))
     for start in range(0, grid.num_frames, _BLOCK_FRAMES):
-        coeffs = stdct.dct_forward(frames[:, start : start + _BLOCK_FRAMES] * window)
-        denoised = np.empty((len(kinds),) + coeffs.shape)
-        for j in range(coeffs.shape[1]):
+        n = min(_BLOCK_FRAMES, grid.num_frames - start)
+        if start + n <= inside.shape[1]:
+            frames = inside[:, start : start + n]
+        else:  # the last block, zero-padded past the end of x
+            frames = stdct.frame_view(x, grid, start, n)
+        coeffs = stdct.dct_forward(frames * window)
+        for j in range(n):
             tracking.step(state, coeffs[:, j], config)
-            np.multiply(state.gain[: len(kinds)], coeffs[:, j], out=denoised[:, :, j])
-        synthesized = stdct.dct_inverse(denoised)
-        synthesized *= window
-        stdct.overlap_add_block(out, synthesized, grid, start)
-    stdct.overlap_normalize(out, grid, window)
-    return out[..., : x.shape[-1]], state
+            np.multiply(state.gain[:n_kinds], coeffs[:, j], out=denoised[:, :, j])
+        for k in range(n_kinds):
+            block = stdct.dct_inverse(denoised[k, :, :n], out=denoised[k, :, :n])
+            block *= window
+            stdct.overlap_add_block(acc[k], block, grid, 0)
+        stdct.overlap_add_block(norm, squares[:n], grid, 0)
+        lo = start * hop
+        done = n * hop if start + n < grid.num_frames else x.shape[-1] - lo
+        yield lo, np.divide(acc[..., :done], norm[:done], out=out[..., :done])
+        for buf in (acc, norm):
+            buf[..., : width - n * hop] = buf[..., n * hop :]
+            buf[..., width - n * hop :] = 0.0
+
+
+def _collect(x: np.ndarray, config: DenoiserConfig, kinds):
+    """Run :func:`_run` to the end; return the whole output, shape ``(kinds,
+    inputs, samples)``, and the tracker state after the last frame."""
+    state, spans = _run(x, config, kinds)
+    out = np.empty((len(kinds),) + x.shape)
+    for lo, span in spans:
+        out[..., lo : lo + span.shape[-1]] = span
+    return out, state
+
+
+def denoise_spans(noisy: np.ndarray, config: DenoiserConfig, kinds):
+    """Denoise as :func:`denoise_kinds` does, but yield the output span by
+    span, as ``(lo, out)`` pairs in order: ``out`` has shape ``(len(kinds),
+    inputs, m)`` and holds output samples ``lo`` to ``lo + m``.  Each ``out``
+    is overwritten by the next span, so a caller that keeps it must copy it,
+    and ``noisy`` is read as the spans are made, so it must not change
+    before the last one.  The bits are those of :func:`denoise_kinds`;
+    memory per stream is one block of frames, whatever the signal's length.
+    """
+    return _run(_as_batch(noisy), config, list(kinds))[1]
+
+
+def _as_batch(noisy) -> np.ndarray:
+    x = np.asarray(noisy, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected shape (inputs, samples), got {x.shape}")
+    return x
 
 
 def denoise_kinds(noisy: np.ndarray, config: DenoiserConfig, kinds) -> np.ndarray:
@@ -149,10 +222,7 @@ def denoise_kinds(noisy: np.ndarray, config: DenoiserConfig, kinds) -> np.ndarra
     Returns shape ``(len(kinds), inputs, samples)``.  Row ``[k, i]`` is
     bit-identical to ``denoise(noisy[i], replace(config, kind=kinds[k]))``.
     """
-    x = np.asarray(noisy, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected shape (inputs, samples), got {x.shape}")
-    out, _ = _run(x, config, list(kinds))
+    out, _ = _collect(_as_batch(noisy), config, list(kinds))
     return out
 
 
@@ -161,7 +231,7 @@ def denoise(noisy: np.ndarray, config: DenoiserConfig) -> np.ndarray:
     x = np.asarray(noisy, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a mono signal, got shape {x.shape}")
-    out, _ = _run(x[None], config, [config.kind])
+    out, _ = _collect(x[None], config, [config.kind])
     return out[0, 0]
 
 
@@ -169,7 +239,7 @@ def denoise_file(in_path, out_path, config: DenoiserConfig) -> DenoiseSummary:
     """Read a WAV file, denoise it at the file's sample rate, and write the result."""
     buf = read_wav(in_path)
     config = replace(config, sample_rate=buf.sample_rate)
-    out, state = _run(buf.samples[None], config, [config.kind])
+    out, state = _collect(buf.samples[None], config, [config.kind])
     write_wav(out_path, AudioBuffer(out[0, 0], buf.sample_rate))
     frames = state.frames_seen
     return DenoiseSummary(

@@ -17,11 +17,14 @@ its odd samples reversed are transformed, and a twiddle factor per FFT bin,
 built once per frame length, maps bin ``k`` to coefficients ``k`` and
 ``n - k``.  It works for every frame length, odd ones included.
 
-Both directions run block by block: analysis slices a read-only frame view
-(:func:`frame_view`), synthesis adds blocks of windowed frames in place
-(:func:`overlap_add_block`) and normalizes once at the end
-(:func:`overlap_normalize`).  Any split into blocks gives the same bits, so
-no buffer of frames or coefficients needs to span the signal.
+Both directions run block by block: analysis takes a read-only view of a
+block of frames (:func:`frame_view`), copying only a last block that runs
+past the signal's end, and synthesis adds blocks of windowed frames in place
+(:func:`overlap_add_block`).  Any split into blocks gives the same bits, so
+no buffer of frames or coefficients needs to span the signal.  The
+normalizer is the overlap-add of ``window * window`` over the same grid:
+:func:`overlap_normalize` applies it to a whole signal, and ``pipeline``
+accumulates it block by block beside the output.
 """
 
 import functools
@@ -61,13 +64,24 @@ def hamming_window(frame_len: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / frame_len)
 
 
-def frame_view(signal: np.ndarray, grid: FrameGrid) -> np.ndarray:
-    """Read-only view of the grid's frames over a zero-padded copy of the
-    signal, shape ``(..., num_frames, frame_len)`` for a signal of shape
-    ``(..., samples)``; slicing it frame-wise builds no index array."""
-    padded = np.zeros(signal.shape[:-1] + (grid.padded_len,))
-    padded[..., : signal.shape[-1]] = signal
-    return sliding_window_view(padded, grid.frame_len, axis=-1)[..., :: grid.hop, :]
+def frame_view(
+    signal: np.ndarray, grid: FrameGrid, first: int = 0, count: int | None = None
+) -> np.ndarray:
+    """Read-only view of the grid's frames ``first`` to ``first + count - 1``
+    (by default all of them), shape ``(..., count, frame_len)`` for a signal of
+    shape ``(..., samples)``.  Frames that lie inside the signal are a view of
+    it; when the last of them runs past its end, the view is over a copy of
+    just those frames' samples, zero-padded.  Slicing it frame-wise builds no
+    index array."""
+    count = grid.num_frames - first if count is None else count
+    lo = first * grid.hop
+    length = (count - 1) * grid.hop + grid.frame_len
+    part = signal[..., lo : lo + length]
+    if part.shape[-1] < length:
+        padded = np.zeros(signal.shape[:-1] + (length,))
+        padded[..., : part.shape[-1]] = part
+        part = padded
+    return sliding_window_view(part, grid.frame_len, axis=-1)[..., :: grid.hop, :]
 
 
 @functools.lru_cache(maxsize=16)
@@ -109,8 +123,10 @@ def dct_forward(windowed_frame: np.ndarray) -> np.ndarray:
     return v
 
 
-def dct_inverse(coeffs: np.ndarray) -> np.ndarray:
-    """Exact inverse of :func:`dct_forward` (orthonormal DCT-III)."""
+def dct_inverse(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact inverse of :func:`dct_forward` (orthonormal DCT-III), written to
+    ``out`` when given: an array of the shape of ``coeffs``, which may be
+    ``coeffs`` itself, since it is written only after ``coeffs`` is read."""
     c = np.asarray(coeffs, dtype=np.float64)
     n = c.shape[-1]
     if n < 1:
@@ -124,7 +140,7 @@ def dct_inverse(coeffs: np.ndarray) -> np.ndarray:
     v = np.fft.irfft(spec, n=n, axis=-1)
     del spec  # so that at most two frame-sized buffers are live
     half = (n + 1) // 2
-    x = np.empty(c.shape)
+    x = np.empty(c.shape) if out is None else out
     x[..., ::2] = v[..., :half]
     x[..., 1::2] = v[..., : half - 1 : -1]
     return x

@@ -6,6 +6,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -376,6 +377,47 @@ def test_evaluate_at_11025_hz(tmp_path):
     assert len(data) == 21  # 7 kinds x 3 SNRs
     gain_col = header.index("snr_gain_db")
     assert all(float(row[gain_col]) > 0.0 for row in data)
+
+
+def test_evaluate_at_11025_hz_bytes_pinned(tmp_path):
+    # at 11025 Hz the denoiser's spans of 16 hops (1,760 samples) end inside
+    # the scorer's 441-sample segments, which must carry across spans; the
+    # digest was computed before evaluate scored spans, from whole outputs
+    clean, noise = tmp_path / "clean.wav", tmp_path / "noise.wav"
+    write_wav(clean, make_voiced(11025))
+    write_wav(noise, generate_white_noise(4 * 11025, 0.05, seed=42, sample_rate=11025))
+    out = tmp_path / "eval.csv"
+    argv = ["evaluate", "--clean", str(clean), "--noise", str(noise), "--out-csv", str(out),
+            "--snr-list", "0,5,10", "--seeds", "0,1", "--kinds", "all"]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9f301c7fe4693c8ad09d604c7287017f501b9919c9657d9ec6f348f901f1a983"
+    )
+
+
+def test_evaluate_holds_no_whole_output(tmp_path):
+    # Doubling the clean file's length may grow evaluate's traced peak by
+    # the noisy inputs (one copy per stream) and a few single-stream
+    # temporaries, but not by the denoised outputs, 7 kinds x 15 streams of
+    # float64, which scoring span by span never holds: the peak grows by 0.14
+    # of their size.  Holding them (one SNR at a time, as evaluate once did)
+    # grew it by 0.80.
+    noise = tmp_path / "noise.wav"
+    write_wav(noise, generate_white_noise(4 * 8000, 0.05, seed=40))
+    argv = ["evaluate", "--noise", str(noise), "--out-csv", str(tmp_path / "eval.csv"),
+            "--snr-list", "0,5,10", "--seeds", "0,1,2,3,4", "--kinds", "all"]
+    peaks = []
+    for seconds in (1.5, 3.0):
+        clean = tmp_path / f"clean_{seconds}.wav"
+        write_wav(clean, make_voiced(8000, seconds))
+        tracemalloc.start()
+        try:
+            assert main(argv + ["--clean", str(clean)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    held = 7 * 15 * 12000 * 8  # kinds x streams x added samples x 8 B
+    assert peaks[1] - peaks[0] < held / 4
 
 
 def test_denoise_config_file_with_flag_override(fixture_wavs, tmp_path, capsys):

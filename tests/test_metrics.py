@@ -1,12 +1,19 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from conftest import make_voiced
+from riskshrink.audio import generate_white_noise, mix_at_snr
 from riskshrink.metrics import (
     SNR_CAP_DB,
+    SpanScorer,
     gain_report,
     global_snr_db,
     segmental_snr_db,
 )
+from riskshrink.pipeline import DenoiserConfig, denoise_kinds, denoise_spans
+from riskshrink.shrinkage import ShrinkageKind
 
 
 def test_global_snr_zero_db_when_error_equals_signal():
@@ -131,3 +138,88 @@ def test_segmental_snr_needs_a_voiced_whole_segment():
     clean[650] = 1.0  # energy only in the incomplete tail
     with pytest.raises(ValueError, match="no segment has nonzero clean energy"):
         segmental_snr_db(clean, np.ones(700), seg_len=320)
+
+
+# ---------------------------------------------------------------------------
+# SpanScorer: gain_report of outputs that arrive span by span
+# ---------------------------------------------------------------------------
+
+# The scorer sums the output's squared error segment by segment, where
+# global_snr_db sums it over the whole signal at once: the same terms in
+# another order.  That moves the error energy by a few units in its last
+# place, and so the output global SNR by a few 1e-15 dB whatever its size
+# (3.6e-15 dB at most over the benchmark's evaluate inputs): a few ulps of a
+# 10 dB value.
+_GLOBAL_SNR_TOL_DB = 8 * np.spacing(10.0)
+
+
+def _assert_scores_equal(got, want):
+    assert got.input_snr_db == want.input_snr_db
+    assert got.input_ssnr_db == want.input_ssnr_db
+    assert got.output_ssnr_db == want.output_ssnr_db
+    assert got.ssnr_gain_db == want.ssnr_gain_db
+    assert abs(got.output_snr_db - want.output_snr_db) <= _GLOBAL_SNR_TOL_DB
+    assert got.snr_gain_db == got.output_snr_db - got.input_snr_db
+
+
+@pytest.mark.parametrize("rate", [8000, 11025, 22050])
+def test_span_scorer_equals_gain_report_of_denoise_kinds(rate):
+    # spans of 16 hops end inside a segment at 11025 and 22050 Hz (441- and
+    # 882-sample segments, hops of 110 and 220), so segments straddle spans;
+    # the clean signal's silent lead-in gives zero-energy segments, and its
+    # length leaves a partial tail segment
+    clean = make_voiced(rate, 2.01)
+    noise = generate_white_noise(len(clean) + rate, 0.05, seed=50, sample_rate=rate)
+    cfg = DenoiserConfig(sample_rate=rate)
+    assert len(clean) % cfg.frame_len and not np.any(clean.samples[: cfg.frame_len])
+    noisy = np.stack([
+        mix_at_snr(clean, noise, snr_db, seed_offset=seed).samples
+        for snr_db, seed in itertools.product((0.0, 5.0, 10.0), (0, 1))
+    ])
+    kinds = list(ShrinkageKind)
+    scorer = SpanScorer(clean.samples, noisy, cfg.frame_len, len(kinds))
+    for lo, span in denoise_spans(noisy, cfg, kinds):
+        scorer.add(lo, span)
+    reports = scorer.reports()
+    out = denoise_kinds(noisy, cfg, kinds)
+    for k in range(len(kinds)):
+        for i in range(noisy.shape[0]):
+            want = gain_report(clean.samples, noisy[i], out[k, i], cfg.frame_len)
+            _assert_scores_equal(reports[k][i], want)
+
+
+def test_span_scorer_at_any_split_and_at_the_cap():
+    # an output equal to clean scores the 100 dB cap and 35 dB per segment;
+    # random span lengths put segment edges anywhere, several per span or none
+    rng = np.random.default_rng(51)
+    seg_len, n = 320, 320 * 12 + 77
+    clean = rng.standard_normal(n)
+    clean[320:640] = 0.0  # one zero-energy segment
+    noisy = clean + 0.3 * rng.standard_normal((2, n))
+    outputs = np.stack([np.broadcast_to(clean, (2, n)), 0.5 * noisy, noisy])
+    scorer = SpanScorer(clean, noisy, seg_len, len(outputs))
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + int(rng.integers(1, 3 * seg_len)))
+        scorer.add(lo, outputs[..., lo:hi].copy())
+        lo = hi
+    reports = scorer.reports()
+    for k in range(len(outputs)):
+        for i in range(2):
+            _assert_scores_equal(
+                reports[k][i], gain_report(clean, noisy[i], outputs[k, i], seg_len)
+            )
+    assert reports[0][0].output_snr_db == SNR_CAP_DB
+    assert reports[0][1].output_ssnr_db == 35.0
+
+
+def test_span_scorer_takes_spans_in_order_and_to_the_end():
+    clean = np.ones(1000)
+    scorer = SpanScorer(clean, clean[None] + 0.1, 100, 1)
+    scorer.add(0, np.ones((1, 1, 400)))
+    with pytest.raises(ValueError, match="starts at sample 500, expected 400"):
+        scorer.add(500, np.ones((1, 1, 100)))
+    with pytest.raises(ValueError, match="scored 400 of 1000 samples"):
+        scorer.reports()
+    with pytest.raises(ValueError, match="past the end"):
+        scorer.add(400, np.ones((1, 1, 601)))

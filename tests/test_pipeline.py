@@ -9,7 +9,13 @@ from conftest import NUMPY_DISPATCH, make_voiced
 from riskshrink.audio import generate_white_noise, mix_at_snr, read_wav, write_wav
 from riskshrink.metrics import global_snr_db
 from riskshrink import shrinkage, stdct, tracking
-from riskshrink.pipeline import DenoiserConfig, denoise, denoise_file, denoise_kinds
+from riskshrink.pipeline import (
+    DenoiserConfig,
+    denoise,
+    denoise_file,
+    denoise_kinds,
+    denoise_spans,
+)
 from riskshrink.shrinkage import ShrinkageKind
 
 
@@ -208,6 +214,43 @@ def test_frame_by_frame_with_reused_buffers_equals_denoise_kinds():
         denoised.fill(np.nan)
     stdct.overlap_normalize(out, grid, window)
     np.testing.assert_array_equal(out[..., :4000], denoise_kinds(noisy, cfg, kinds))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"overlap_fraction": 0.0}, {"overlap_fraction": 0.95}, {"sample_rate": 11025}],
+    ids=["default", "no-overlap", "overlap0.95", "rate11025"],
+)
+@pytest.mark.parametrize("n", [4000, 4003])
+def test_spans_equal_one_whole_signal_overlap_add(overrides, n):
+    # The spans leave the denoiser as soon as no later frame touches them:
+    # in order, covering the signal once, each with the bits of one
+    # whole-signal accumulator normalized at the end.  With 95% overlap a
+    # sample stays open for 20 frames, longer than a block of 16.
+    noisy = _lockstep_inputs(n)
+    kinds = [ShrinkageKind.WCOSH, ShrinkageKind.MSE]
+    cfg = DenoiserConfig(**overrides)
+    grid = stdct.make_frame_grid(n, cfg.frame_len, cfg.hop)
+    window = stdct.hamming_window(cfg.frame_len)
+    frames = stdct.frame_view(noisy, grid)
+    state = tracking.initialize(
+        stdct.dct_forward(frames[:, : cfg.init_noise_frames] * window), kinds
+    )
+    want = np.zeros((len(kinds), 3, grid.padded_len))
+    for j in range(grid.num_frames):
+        coeffs = stdct.dct_forward(frames[:, j] * window)
+        tracking.step(state, coeffs, cfg)
+        synthesized = stdct.dct_inverse(state.gain[: len(kinds)] * coeffs)[..., None, :]
+        stdct.overlap_add_block(want, synthesized * window, grid, j)
+    stdct.overlap_normalize(want, grid, window)
+    got = np.full((len(kinds), 3, n), np.nan)
+    end = 0
+    for lo, span in denoise_spans(noisy, cfg, kinds):
+        assert lo == end and span.shape[:2] == (len(kinds), 3)
+        got[..., lo : lo + span.shape[-1]] = span
+        end = lo + span.shape[-1]
+    assert end == n
+    assert got.tobytes() == want[..., :n].tobytes()
 
 
 @pytest.mark.parametrize("n", [1120, 1121, 8003])  # minimum, one past it, off-hop

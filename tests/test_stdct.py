@@ -202,6 +202,30 @@ def test_any_split_into_blocks_gives_the_same_bits(frame_len, hop, first_frames)
 
 
 @_GEOMETRIES
+def test_a_block_of_frames_views_the_signal_or_pads_only_the_last(frame_len, hop):
+    # the pipeline analyzes 16 frames at a time; only a block whose last
+    # frame runs past the signal's end copies, and the bits are the whole
+    # signal's frames either way
+    x = np.random.default_rng(hop).standard_normal((2, frame_len + 40 * hop + 7))
+    grid = make_frame_grid(x.shape[-1], frame_len, hop)
+    whole = frame_view(x, grid)
+    for first in range(0, grid.num_frames, 16):
+        count = min(16, grid.num_frames - first)
+        block = frame_view(x, grid, first, count)
+        assert block.tobytes() == whole[:, first : first + count].tobytes()
+        assert not block.flags.writeable
+        assert np.shares_memory(block, x) == (first + count < grid.num_frames)
+
+
+def test_inverse_in_place_gives_the_same_bits():
+    coeffs = np.random.default_rng(12).standard_normal((3, 16, 441))
+    want = dct_inverse(coeffs)
+    got = coeffs.copy()
+    assert dct_inverse(got, out=got) is got
+    assert got.tobytes() == want.tobytes()
+
+
+@_GEOMETRIES
 def test_normalizer_is_the_overlap_add_of_the_squared_window(frame_len, hop):
     grid = make_frame_grid(frame_len + 50 * hop + 7, frame_len, hop)
     window = hamming_window(frame_len)
