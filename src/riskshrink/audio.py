@@ -84,10 +84,11 @@ def read_wav(path) -> AudioBuffer:
 
 def write_wav(path, buffer: AudioBuffer) -> None:
     """Write mono PCM-16, rounding half away from zero and clipping (so
-    ``+-inf`` is full scale); a NaN sample is refused."""
+    ``+-inf`` is full scale); a NaN sample, and a sample rate that is not a
+    whole number of Hz the header can hold, are refused."""
     rate = buffer.sample_rate
-    if not 1 <= rate <= _MAX_RATE:
-        raise ValueError(f"sample rate {rate} Hz is outside 1 to {_MAX_RATE}")
+    if not (isinstance(rate, (int, np.integer)) and 1 <= rate <= _MAX_RATE):
+        raise ValueError(f"sample rate must be an integer from 1 to {_MAX_RATE} Hz, got {rate!r}")
     x = np.asarray(buffer.samples, dtype=np.float64) * _FULL_SCALE
     if np.isnan(x).any():
         raise ValueError("samples must not be NaN")

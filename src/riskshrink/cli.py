@@ -23,7 +23,7 @@ from . import risklab
 from .audio import WavFormatError, mix_at_snr, read_wav, read_wav_header
 from .metrics import GainReport, SpanScorer
 from .pipeline import DenoiserConfig, denoise_file, denoise_spans
-from .shrinkage import ShrinkageKind, gain_rows
+from .shrinkage import _KIND_NAMES, ShrinkageKind, gain_rows
 
 # Bounds on outside input that would otherwise allocate without limit: the
 # points of one curves table (0:100:0.001 is the largest range taken), the
@@ -68,8 +68,7 @@ def _parse_kind(text: str) -> ShrinkageKind:
     try:
         return ShrinkageKind(name)
     except ValueError:
-        valid = ", ".join(k.value for k in ShrinkageKind)
-        raise ValueError(f"unknown kind {name!r} (choose from: {valid})") from None
+        raise ValueError(f"unknown kind {name!r} (choose from: {_KIND_NAMES})") from None
 
 
 def _parse_kinds(text: str) -> list[ShrinkageKind]:

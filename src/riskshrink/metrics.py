@@ -47,7 +47,10 @@ def _segment_energies(x: np.ndarray, seg_len: int) -> np.ndarray:
     """Sum of squares of each complete ``seg_len``-sample segment along the
     last axis of ``x``, shape ``x.shape[:-1] + (segments,)``; a trailing
     partial segment is left out.  Each segment sums as one row, so the bits
-    do not depend on what else ``x`` holds."""
+    do not depend on what else ``x`` holds.  Both scorers run this, so it
+    states their rule for ``seg_len``: a positive integer."""
+    if not (isinstance(seg_len, (int, np.integer)) and seg_len > 0):
+        raise ValueError(f"seg_len must be a positive integer, got {seg_len!r}")
     n_segs = x.shape[-1] // seg_len
     rows = x[..., : n_segs * seg_len].reshape(x.shape[:-1] + (n_segs, seg_len))
     return np.sum(rows**2, axis=-1)
@@ -71,8 +74,6 @@ def segmental_snr_db(clean: np.ndarray, test: np.ndarray, seg_len: int) -> float
     Only complete segments with nonzero clean energy contribute.
     """
     clean, test = _check_pair(clean, test)
-    if seg_len <= 0:
-        raise ValueError(f"seg_len must be positive, got {seg_len}")
     return _mean_segment_snr(
         _segment_energies(clean, seg_len), _segment_energies(clean - test, seg_len)
     )

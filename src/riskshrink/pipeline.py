@@ -21,7 +21,7 @@ import numpy as np
 
 from . import stdct, tracking
 from .audio import AudioBuffer, read_wav, write_wav
-from .shrinkage import ShrinkageKind
+from .shrinkage import ShrinkageKind, _check_kinds
 
 # The tracker counts hangover frames down in int64.
 _MAX_HANGOVER = int(np.iinfo(np.int64).max)
@@ -62,8 +62,7 @@ class DenoiserConfig:
                 f"at {self.sample_rate} Hz give frame_len={frame_len} and hop={hop} "
                 f"samples; frames must be finite and the hop at least 1 sample"
             )
-        if not isinstance(self.kind, ShrinkageKind):
-            raise ValueError(f"kind must be a ShrinkageKind, got {self.kind!r}")
+        _check_kinds([self.kind])
         if not 0.0 < self.alpha < np.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         for name in ("beta", "eta"):
@@ -176,8 +175,8 @@ def _spans(x, inside, grid, window, state, config, n_kinds):
         for k in range(n_kinds):
             block = stdct.dct_inverse(denoised[k, :, :n], out=denoised[k, :, :n])
             block *= window
-            stdct.overlap_add_block(acc[k], block, grid, 0)
-        stdct.overlap_add_block(norm, squares[:n], grid, 0)
+            stdct.overlap_add_block(acc[k], block, grid)
+        stdct.overlap_add_block(norm, squares[:n], grid)
         lo = start * hop
         done = n * hop if start + n < grid.num_frames else x.shape[-1] - lo
         yield lo, np.divide(acc[..., :done], norm[:done], out=out[..., :done])

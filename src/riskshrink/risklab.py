@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .shrinkage import ShrinkageKind, gain_rows
+from .shrinkage import _QUIET, ShrinkageKind, _check_kinds, gain_rows
 
 # Draws the rejection sampler may take in its first batch: 1e8 float64 draws
 # are 800 MB, ten times the largest batch verify takes (1e7 samples at c = 5).
@@ -68,8 +68,8 @@ class SyntheticScene:
     spec: TruncatedGaussianSpec
 
     def __post_init__(self):
-        if self.clean == 0.0:
-            raise ValueError("clean coefficient must be nonzero")
+        if not (math.isfinite(self.clean) and self.clean != 0.0):
+            raise ValueError(f"clean coefficient must be finite and nonzero, got {self.clean}")
 
     @property
     def high_snr(self) -> bool:
@@ -231,12 +231,14 @@ def risk_estimate(kind: ShrinkageKind, a, x, sigma: float, clean=None):
     Without ``clean`` the value omits the a-independent signal terms and bare
     constants, which is all the minimizer needs; with ``clean`` the full
     expression is returned (required for unbiasedness comparisons).  A
-    non-finite ``x`` or ``sigma``, a negative ``sigma``, and ``x = 0`` except
-    for squared error are refused; ``sigma = 0`` is the noiseless limit.
+    ``kind`` that is not a ShrinkageKind, a non-finite ``x`` or ``sigma``, a
+    negative ``sigma``, and ``x = 0`` except for squared error are refused;
+    ``sigma = 0`` is the noiseless limit.
     Singular ``a = 0`` endpoints come out as infinities of the appropriate
     sign, the IEEE limits of the expressions, for ``x`` whose polynomials in
     ``sigma**2 / x**2`` stay finite (``|x|`` above about ``1e-38 * sigma``).
     """
+    _check_kinds([kind])
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     if not np.all((a >= 0.0) & (a <= 1.0)):
@@ -248,7 +250,7 @@ def risk_estimate(kind: ShrinkageKind, a, x, sigma: float, clean=None):
     if kind is not ShrinkageKind.MSE and np.any(x == 0.0):
         raise ValueError(f"{kind.value} risk estimate undefined at X = 0")
     sig2 = sigma * sigma
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(**_QUIET):
         u = sig2 / (x * x)
         if kind is ShrinkageKind.MSE:
             x2 = x * x
@@ -270,11 +272,9 @@ def risk_estimate(kind: ShrinkageKind, a, x, sigma: float, clean=None):
         elif kind is ShrinkageKind.COSH:
             poly = 1.0 + u * u * u * (60.0 + 840.0 * u)
             val = 0.5 * ((1.0 + u) / a + a * poly)
-        elif kind is ShrinkageKind.WCOSH:
+        else:  # ShrinkageKind.WCOSH
             poly = 1.0 + u * (-1.0 + u * (3.0 + u * (420.0 + 8400.0 * u)))
             val = 0.5 * (a / x) * poly + 1.0 / (2.0 * a * x)
-        else:
-            raise ValueError(f"unknown kind {kind}")
         if clean is not None:
             val = _SIGNAL_TERMS[kind](val, clean)
     return val
@@ -323,9 +323,7 @@ def _distortion(kind: ShrinkageKind, a: float, clean: float, x: np.ndarray):
         return r2 - np.log(r2) - 1.0
     if kind is ShrinkageKind.COSH:
         return 0.5 * (1.0 / ratio + ratio) - 1.0
-    if kind is ShrinkageKind.WCOSH:
-        return (0.5 * (1.0 / ratio + ratio) - 1.0) / clean
-    raise ValueError(f"unknown kind {kind}")
+    return (0.5 * (1.0 / ratio + ratio) - 1.0) / clean  # ShrinkageKind.WCOSH
 
 
 def unbiasedness_check(
@@ -344,6 +342,7 @@ def unbiasedness_check(
     finite at ``a = 0``; the other measures refuse it, as ``risk_estimate``
     refuses ``x = 0``.
     """
+    _check_kinds([kind])
     if kind is not ShrinkageKind.MSE and not scene.high_snr:
         raise ValueError(
             f"{kind.value} requires a high-SNR scene "

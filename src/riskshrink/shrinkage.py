@@ -47,12 +47,21 @@ _GAINS = {
 }
 
 
+_KIND_NAMES = ", ".join(k.value for k in ShrinkageKind)
+
+# The one floating-point warnings policy of the closed forms, for np.errstate:
+# the gains, the tracker's step and the risk lab's estimates.  Each case it
+# silences (a zero or subnormal noise floor, a zero coefficient, a formula's
+# singular point) is defined instead by a mask, a cap or the IEEE limit.
+_QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
+
+
 def _check_kinds(kinds) -> None:
-    """Raise ``ValueError`` unless every entry of ``kinds`` is a ShrinkageKind."""
+    """Raise ``ValueError`` unless every entry of ``kinds`` is a ShrinkageKind:
+    the package's one kind test, made at every entry point that takes kinds."""
     for kind in kinds:
         if not isinstance(kind, ShrinkageKind):
-            valid = ", ".join(k.value for k in ShrinkageKind)
-            raise ValueError(f"kind must be a ShrinkageKind ({valid}), got {kind!r}")
+            raise ValueError(f"kind must be a ShrinkageKind ({_KIND_NAMES}), got {kind!r}")
 
 
 def gain_rows_unchecked(kinds, u: np.ndarray) -> np.ndarray:
@@ -60,7 +69,7 @@ def gain_rows_unchecked(kinds, u: np.ndarray) -> np.ndarray:
 
     For a caller that has checked ``kinds`` once, forms ``u`` itself as a
     float64 array of ``len(kinds)`` rows, each entry nonnegative, inf or NaN,
-    and keeps floating-point warnings off around the call: ``tracking.step``,
+    and holds ``np.errstate(**_QUIET)`` around the call: ``tracking.step``,
     once per frame.  Returns a new array.
     """
     g = np.empty(u.shape)
@@ -84,5 +93,5 @@ def gain_rows(kinds, u: np.ndarray) -> np.ndarray:
         raise ValueError(f"u must have {len(kinds)} rows, got shape {u.shape}")
     if (u < 0.0).any():  # NaN passes and maps to 0
         raise ValueError("u must be nonnegative")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(**_QUIET):
         return gain_rows_unchecked(kinds, u)

@@ -146,18 +146,19 @@ def dct_inverse(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return x
 
 
-def overlap_add_block(
-    out: np.ndarray, frames: np.ndarray, grid: FrameGrid, first: int
-) -> None:
-    """Add frames ``first, first+1, ...`` into ``out`` in place, unweighted:
-    the caller applies the synthesis window.
+def overlap_add_block(out: np.ndarray, frames: np.ndarray, grid: FrameGrid) -> None:
+    """Add ``frames`` into ``out`` in place, unweighted, the first at sample 0
+    and each next one ``hop`` samples later; the caller applies the synthesis
+    window.  A block that starts at frame ``j`` of the grid goes into
+    ``out[..., j * hop :]``.
 
-    ``frames`` has shape ``(..., n, frame_len)`` and ``out`` shape
-    ``(..., padded_len)``.  Every sample sums its frames in grid order, so
-    accumulating a signal block by block gives the same bits as all at once.
+    ``frames`` has shape ``(..., n, frame_len)`` and ``out`` shape ``(...,
+    m)`` with ``m >= (n - 1) * hop + frame_len``.  Every sample sums its
+    frames in grid order, so accumulating a signal block by block gives the
+    same bits as all at once.
     """
     for j in range(frames.shape[-2]):
-        start = (first + j) * grid.hop
+        start = j * grid.hop
         out[..., start : start + grid.frame_len] += frames[..., j, :]
 
 
@@ -167,6 +168,6 @@ def overlap_normalize(out: np.ndarray, grid: FrameGrid, window: np.ndarray) -> n
     frame, so with the Hamming window that sum is at least ``0.08**2``."""
     norm = np.zeros(grid.padded_len)
     squares = np.broadcast_to(window * window, (grid.num_frames, grid.frame_len))
-    overlap_add_block(norm, squares, grid, 0)
+    overlap_add_block(norm, squares, grid)
     out /= norm
     return out

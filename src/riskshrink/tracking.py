@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .shrinkage import ShrinkageKind, _check_kinds, gain_rows_unchecked
+from .shrinkage import _QUIET, ShrinkageKind, _check_kinds, gain_rows_unchecked
 
 
 def _constant(value) -> np.ndarray:
@@ -38,9 +38,6 @@ _DD_REST = _constant(1.0 - 0.98)
 # x**2 / 0 = inf and falls to it, as does one whose variance is vanishingly
 # small; a silent bin has gamma 0 whatever its variance.
 _GAMMA_CAP = _constant(1e6)
-# Every per-frame division may meet a zero or subnormal floor or a zero
-# coefficient; each such case is defined by the cap and the masks.
-_QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
 @dataclass
@@ -56,7 +53,7 @@ class TrackerState:
     No field is a view of memory the caller owns.
 
     Building the state checks ``rows`` once: an entry that is not a
-    ``ShrinkageKind`` raises ``gain_rows``' ``ValueError`` before any frame.
+    ``ShrinkageKind`` raises ``_check_kinds``' ``ValueError`` before any frame.
     It also records the first mse row, the floor's mask ``~(noise_var > 0)``
     and the scratch buffers each step reuses.  :func:`update_noise` refreshes
     the mask whenever it moves the floor, so ``noise_var`` must change only

@@ -157,7 +157,7 @@ def test_dsp_roundtrip():
     frames = frame_view(x, grid) * w
     coeffs = dct_forward(frames)
     y = np.zeros(grid.padded_len)
-    overlap_add_block(y, dct_inverse(coeffs) * w, grid, 0)
+    overlap_add_block(y, dct_inverse(coeffs) * w, grid)
     y = overlap_normalize(y, grid, w)[: x.shape[0]]
     interior = slice(320, x.shape[0] - 320)
     rt_err = np.max(np.abs(y[interior] - x[interior])) / np.max(np.abs(x[interior]))

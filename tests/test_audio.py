@@ -255,7 +255,7 @@ def test_read_matches_the_wave_reader_on_corrupt_files(oracle_wavs, data):
         assert buf.samples.tobytes() == expected.samples.tobytes()
 
 
-@pytest.mark.parametrize("rate", [0, -8000, 2**31])
+@pytest.mark.parametrize("rate", [0, -8000, 2**31, 8000.0, 8000.5])
 def test_write_refuses_a_rate_the_header_cannot_hold(tmp_path, rate):
     path = tmp_path / "o.wav"
     with pytest.raises(ValueError, match="sample rate"):

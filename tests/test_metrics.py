@@ -77,6 +77,18 @@ def test_segmental_snr_validation():
         segmental_snr_db(np.ones(640), np.ones(640), seg_len=0)
 
 
+@pytest.mark.parametrize("seg_len", [320.5, 320.0, "320", None, 0, -320])
+def test_both_scorers_refuse_a_seg_len_that_is_not_a_positive_integer(seg_len):
+    clean = np.sin(np.linspace(0.0, 100.0, 3200))
+    noisy = clean + 0.1
+    with pytest.raises(ValueError, match="seg_len must be a positive integer"):
+        segmental_snr_db(clean, noisy, seg_len)
+    with pytest.raises(ValueError, match="seg_len must be a positive integer"):
+        SpanScorer(clean, noisy[None], seg_len, 1)
+    # a numpy integer is an integer
+    assert segmental_snr_db(clean, noisy, np.int64(320)) == segmental_snr_db(clean, noisy, 320)
+
+
 def test_gain_report_zero_when_denoised_is_noisy():
     rng = np.random.default_rng(29)
     clean = np.sin(np.linspace(0, 100, 3200))

@@ -209,7 +209,7 @@ def test_frame_by_frame_with_reused_buffers_equals_denoise_kinds():
         tracking.step(state, coeffs, cfg)
         np.multiply(state.gain[: len(kinds)], coeffs, out=denoised)
         synthesized = stdct.dct_inverse(denoised)[..., None, :] * window
-        stdct.overlap_add_block(out, synthesized, grid, j)
+        stdct.overlap_add_block(out[..., j * grid.hop :], synthesized, grid)
         coeffs.fill(np.nan)
         denoised.fill(np.nan)
     stdct.overlap_normalize(out, grid, window)
@@ -241,7 +241,7 @@ def test_spans_equal_one_whole_signal_overlap_add(overrides, n):
         coeffs = stdct.dct_forward(frames[:, j] * window)
         tracking.step(state, coeffs, cfg)
         synthesized = stdct.dct_inverse(state.gain[: len(kinds)] * coeffs)[..., None, :]
-        stdct.overlap_add_block(want, synthesized * window, grid, j)
+        stdct.overlap_add_block(want[..., j * grid.hop :], synthesized * window, grid)
     stdct.overlap_normalize(want, grid, window)
     got = np.full((len(kinds), 3, n), np.nan)
     end = 0
@@ -306,12 +306,16 @@ _PINNED_SHA256 = {
         "init20_overlap0.5": "e3fb21944a89d4a6d33730a8c01fcf8a2c75be4202c4ceadd2ba57c4446a1d7e",
         "init1": "61d470b2548e556493a2fb813fe2190bf411875034a5d6548e0c8b0a43efdff5",
         "rate16000": "f289aaeae4861463f87aae01cc6f4374fff17af4ea20894627ef08ab9da3e2d0",
+        "offhop": "b0b994d05aafd731763bb1b35a8cf7d90b6638e381d5360a4056b7f4537b8e61",
+        "offhop_rate16000": "2f6a62fd2170c0febd1c2833f7c0a5002c24ffdb1db8163204e28a426c3f67be",
     },
     "AVX2": {
         "default": "6bdc2efd3bc025c307bc69711bd143105ea69d1617bf8c5742eb9e50dcda57af",
         "init20_overlap0.5": "232e6fc193e70fb77677fd04c40d7c34669f6cb76123a1bee9b85bb84ff8c769",
         "init1": "ed74c32f2b30ea2b107e3c25052e9befb898827bd21c45706d8948564f19e89f",
         "rate16000": "3bcd25991b1a2ad07f1b08c3836ddfa583b5bb2edf852a2cb3219f01123c2d23",
+        "offhop": "b41d2a7340579c78d3c078b1e95ab3aeee5480ab8b14718b94fa410bf4561a1f",
+        "offhop_rate16000": "d98a858e261af4a76fd66762f885a5136e1cd55a348aefbbcc07752b4b07593a",
     },
 }
 # The mse rows alone.  The VAD and the noise floor read the mse estimate, so
@@ -323,7 +327,14 @@ _PINNED_MSE_SHA256 = {
     "init20_overlap0.5": "17f5287570abef3025283f833674f096704c6adb3ef6ee7bced0b03a6251d5fb",
     "init1": "2f6fc2bd76c5cc1a2c2abf12f6065ae6bc880ecedeabaf11b30b612fe36edee8",
     "rate16000": "d76fc86daaf7e927272e6349b368388d0c281b0f3821f31b8d7c1305124f26b7",
+    "offhop": "a8277f58ad8dc86ebc8ac52a1a3e08df983e8f53dc857d02c0b962b050159662",
+    "offhop_rate16000": "61eb87a432a5748e076289473a279bc71529272299a2d6c23b4b11c3f4c61ddf",
 }
+# Input length of each case, 12,000 samples unless named here.  12,000 needs no
+# padding at either rate; 11,963 is 43 samples past the last full hop at 8 kHz
+# and 123 at 16 kHz, so its last frame runs past the end and the last block of
+# frames is a zero-padded copy.
+_PINNED_LENGTH = {"offhop": 11963, "offhop_rate16000": 11963}
 
 
 def _sha256(a):
@@ -339,15 +350,20 @@ def _sha256(a):
         ("init1", {"init_noise_frames": 1}),
         # 640-point frames, as the benchmark's 16 kHz denoise runs them
         ("rate16000", {"sample_rate": 16000}),
+        ("offhop", {}),
+        ("offhop_rate16000", {"sample_rate": 16000}),
     ],
 )
 def test_output_bits_pinned(case, overrides, voiced_buffer):
-    clean = voiced_buffer.samples[:12000]
+    n = _PINNED_LENGTH.get(case, 12000)
+    clean = voiced_buffer.samples[:n]
     noisy = np.stack(
-        [clean + generate_white_noise(12000, 0.05, seed=s).samples for s in (50, 51)]
+        [clean + generate_white_noise(n, 0.05, seed=s).samples for s in (50, 51)]
     )
     noisy[1, :1600] = 0.0  # digital-silence lead-in
-    out = denoise_kinds(noisy, DenoiserConfig(**overrides), list(ShrinkageKind))
+    cfg = DenoiserConfig(**overrides)
+    assert ((n - cfg.frame_len) % cfg.hop != 0) == (case in _PINNED_LENGTH)
+    out = denoise_kinds(noisy, cfg, list(ShrinkageKind))
     assert list(ShrinkageKind)[0] is ShrinkageKind.MSE
     assert _sha256(out[0]) == _PINNED_MSE_SHA256[case]
     assert _sha256(out) == _PINNED_SHA256[NUMPY_DISPATCH][case]

@@ -440,6 +440,9 @@ def test_oracle_grid_step_validation():
 def test_scene_validation_and_flag():
     with pytest.raises(ValueError):
         SyntheticScene(clean=0.0, spec=SPEC1)
+    for clean in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            SyntheticScene(clean=clean, spec=SPEC1)
     assert SyntheticScene(clean=10.5, spec=SPEC1).high_snr
     assert not SyntheticScene(clean=10.0, spec=SPEC1).high_snr  # boundary is strict
 

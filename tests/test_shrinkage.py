@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,14 @@ import pytest
 
 import riskshrink
 from riskshrink import shrinkage
-from riskshrink.risklab import oracle_argmin
+from riskshrink.pipeline import DenoiserConfig, denoise_kinds
+from riskshrink.risklab import (
+    SyntheticScene,
+    TruncatedGaussianSpec,
+    oracle_argmin,
+    risk_estimate,
+    unbiasedness_check,
+)
 from riskshrink.shrinkage import ShrinkageKind, gain_rows
 
 ALL_KINDS = list(ShrinkageKind)
@@ -177,6 +185,30 @@ def test_gain_rows_validation():
     for rows in (np.ones((3, 4)), np.ones(4)[:1], np.float64(1.0)):
         with pytest.raises(ValueError, match="rows"):
             gain_rows(kinds, rows)
+
+
+_SCENE = SyntheticScene(50.0, TruncatedGaussianSpec(sigma=1.0, c=5.0))
+
+# Every entry point that takes a kind, called with ``kind`` in that place and
+# valid arguments elsewhere.
+_KIND_ENTRIES = {
+    "risk_estimate": lambda kind: risk_estimate(kind, 0.5, 1.0, 1.0),
+    "oracle_argmin": lambda kind: oracle_argmin(kind, 1.0, 1.0, grid_step=0.1),
+    "unbiasedness_check": lambda kind: unbiasedness_check(kind, 0.5, _SCENE, 10, 0),
+    "DenoiserConfig": lambda kind: DenoiserConfig(kind=kind),
+    "gain_rows": lambda kind: gain_rows([kind], [0.5]),
+    "denoise_kinds": lambda kind: denoise_kinds(np.ones((1, 4000)), DenoiserConfig(), [kind]),
+}
+
+
+@pytest.mark.parametrize("kind", ["mse", None])
+@pytest.mark.parametrize("entry", list(_KIND_ENTRIES))
+def test_every_entry_refuses_a_wrong_kind_naming_the_valid_ones(entry, kind):
+    # one check, shrinkage._check_kinds, so one message wherever a kind enters
+    valid = "mse, we, log_mse, is, is_ii, cosh, wcosh"
+    match = re.escape(f"kind must be a ShrinkageKind ({valid}), got {kind!r}")
+    with pytest.raises(ValueError, match=match):
+        _KIND_ENTRIES[entry](kind)
 
 
 def test_backend_is_fixed():
