@@ -1,21 +1,23 @@
-"""End-to-end frame-by-frame denoiser.
+"""End-to-end block-by-block denoiser.
 
 The signal is analyzed on a short-time DCT grid; the leading frames build the
 initial noise statistics (they are assumed noise-only), after which every
-frame, including those leading ones, is denoised in order: one tracker step
+frame, including those leading ones, is denoised in order: the tracker step
 (VAD decision with hangover, noise-variance update, inverse-SNR update and the
-per-bin gain), then the inverse transform and weighted overlap-add.
+per-bin gain, frame by frame), then the inverse transform and weighted
+overlap-add.
 
-Several streams run in lockstep, every input row with every requested gain:
-one tracker step per frame for all of them.  Analysis and synthesis go in
-blocks of frames, and the output leaves in spans as soon as no later frame
-touches them (:func:`denoise_spans`), so memory per stream is one block,
-whatever the signal's length.  ``evaluate`` runs every SNR x seed mixture
+Several streams run in lockstep, every input row with every requested gain.
+Analysis, the tracker and synthesis go in blocks of frames, one tracker call
+per block for all the streams, and the output leaves in spans as soon as no
+later frame touches them (:func:`denoise_spans`), so memory per stream is one
+block, whatever the signal's length.  ``evaluate`` runs every SNR x seed mixture
 with every kind in one such pass and scores each span as it leaves; the
 other entry points collect the spans into the whole output.
 """
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -45,6 +47,14 @@ class DenoiserConfig:
     vad_hangover: int = 2
 
     def __post_init__(self):
+        # each field's type first, so that no comparison below can raise
+        # TypeError or accept a fractional rate
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type is int and not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{f.name} must be an integer, got {v!r}")
+            if f.type is float and not isinstance(v, numbers.Real):
+                raise ValueError(f"{f.name} must be a real number, got {v!r}")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         if not 0 < self.frame_ms < np.inf:
@@ -69,10 +79,6 @@ class DenoiserConfig:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {v}")
-        for name in ("init_noise_frames", "vad_hangover"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.init_noise_frames < 1:
             raise ValueError(
                 f"init_noise_frames must be at least 1, got {self.init_noise_frames}"
@@ -104,8 +110,9 @@ class DenoiseSummary:
     speech_fraction: float
 
 
-# Frames analyzed and synthesized per block: enough to amortize each
-# transform call, few enough that no buffer grows with the file length.
+# Frames analyzed, tracked and synthesized per block: enough to amortize each
+# transform and tracker call, few enough that no buffer grows with the file
+# length.
 _BLOCK_FRAMES = 16
 
 
@@ -150,9 +157,10 @@ def _spans(x, inside, grid, window, state, config, n_kinds):
     frames; the samples still open after a block move to its front.  The
     normalizer, the overlap-add of ``window * window``, rolls the same way,
     so every sample sums the same terms in the same order as one whole-signal
-    accumulator would.  Synthesis runs one kind at a time, in place in the
-    block of denoised coefficients; that block, the accumulators and the
-    span buffer are allocated once per run.
+    accumulator would.  The tracker writes each block's denoised
+    coefficients, every kind's, into one block buffer, where the inverse
+    transform runs one kind at a time in place; that buffer, the
+    accumulators and the span buffer are allocated once per run.
     """
     frame_len, hop = grid.frame_len, grid.hop
     inputs = x.shape[0]
@@ -169,13 +177,12 @@ def _spans(x, inside, grid, window, state, config, n_kinds):
         else:  # the last block, zero-padded past the end of x
             frames = stdct.frame_view(x, grid, start, n)
         coeffs = stdct.dct_forward(frames * window)
-        for j in range(n):
-            tracking.step(state, coeffs[:, j], config)
-            np.multiply(state.gain[:n_kinds], coeffs[:, j], out=denoised[:, :, j])
+        block = denoised[:, :, :n]
+        tracking.step(state, coeffs, config, block)
         for k in range(n_kinds):
-            block = stdct.dct_inverse(denoised[k, :, :n], out=denoised[k, :, :n])
-            block *= window
-            stdct.overlap_add_block(acc[k], block, grid)
+            stdct.dct_inverse(block[k], out=block[k])
+        block *= window
+        stdct.overlap_add_block(acc, block, grid)
         stdct.overlap_add_block(norm, squares[:n], grid)
         lo = start * hop
         done = n * hop if start + n < grid.num_frames else x.shape[-1] - lo

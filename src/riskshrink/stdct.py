@@ -20,11 +20,11 @@ built once per frame length, maps bin ``k`` to coefficients ``k`` and
 Both directions run block by block: analysis takes a read-only view of a
 block of frames (:func:`frame_view`), copying only a last block that runs
 past the signal's end, and synthesis adds blocks of windowed frames in place
-(:func:`overlap_add_block`).  Any split into blocks gives the same bits, so
-no buffer of frames or coefficients needs to span the signal.  The
-normalizer is the overlap-add of ``window * window`` over the same grid:
-:func:`overlap_normalize` applies it to a whole signal, and ``pipeline``
-accumulates it block by block beside the output.
+(:func:`overlap_add_block`), one strided add per ``hop``-wide piece of the
+frame rather than one per frame.  Any split into blocks gives the same bits,
+so no buffer of frames or coefficients needs to span the signal.  The
+normalizer is the overlap-add of ``window * window`` over the same grid,
+which ``pipeline`` accumulates block by block beside the output.
 """
 
 import functools
@@ -153,21 +153,19 @@ def overlap_add_block(out: np.ndarray, frames: np.ndarray, grid: FrameGrid) -> N
     ``out[..., j * hop :]``.
 
     ``frames`` has shape ``(..., n, frame_len)`` and ``out`` shape ``(...,
-    m)`` with ``m >= (n - 1) * hop + frame_len``.  Every sample sums its
-    frames in grid order, so accumulating a signal block by block gives the
-    same bits as all at once.
+    m)`` with ``m >= (n - 1) * hop + frame_len``.  Each frame is cut into
+    pieces of at most ``hop`` samples, counted back from its end, so the
+    first piece is the short one when the hop does not divide the frame.
+    One strided add takes a piece of every frame at once, since those pieces
+    do not overlap; the pieces go from the last one down, so every sample
+    sums its frames in grid order, and accumulating a signal block by block
+    gives the same bits as all at once, or frame by frame.
     """
-    for j in range(frames.shape[-2]):
-        start = j * grid.hop
-        out[..., start : start + grid.frame_len] += frames[..., j, :]
-
-
-def overlap_normalize(out: np.ndarray, grid: FrameGrid, window: np.ndarray) -> np.ndarray:
-    """Divide accumulated overlap-add output in place by the overlap-add of
-    ``window * window`` over the grid.  Every sample of the grid lies in some
-    frame, so with the Hamming window that sum is at least ``0.08**2``."""
-    norm = np.zeros(grid.padded_len)
-    squares = np.broadcast_to(window * window, (grid.num_frames, grid.frame_len))
-    overlap_add_block(norm, squares, grid)
-    out /= norm
-    return out
+    n, hop = frames.shape[-2], grid.hop
+    rows = out.shape[:-1] + (n, hop)
+    end = grid.frame_len
+    while end > 0:
+        lo = max(end - hop, 0)
+        # every frame's samples lo..end in one view, in bounds since lo + hop <= frame_len
+        out[..., lo : lo + n * hop].reshape(rows)[..., : end - lo] += frames[..., lo:end]
+        end = lo

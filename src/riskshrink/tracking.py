@@ -1,34 +1,26 @@
 """Per-bin noise-variance tracking with a likelihood-ratio VAD gate, the
 recursive inverse a-posteriori SNR estimate, and the gains it feeds.
 
-One call of :func:`step` computes one frame's gains.  The VAD, its hangover
-and the noise floor belong to the input: state arrays carry any number of
-leading input axes, one row of ``bins`` per input, shared by every gain
-applied to that input.  Only the inverse-SNR recursion runs per gain, one row
-each: the requested kinds in their order, then a hidden mse (Wiener) row when
-mse was not requested.  The VAD reads the mse estimate, so no gain can hide
-speech from the VAD that sets its own floor.  An input's frames are strictly
-sequential since each frame's estimate depends on the previous one.
+One call of :func:`step` advances the tracker over a block of frames and
+writes each frame's denoised coefficients into the caller's block.  The VAD,
+its hangover and the noise floor belong to the input: state arrays carry any
+number of leading input axes, one row of ``bins`` per input, shared by every
+gain applied to that input.  Only the inverse-SNR recursion runs per gain,
+one row each: the requested kinds in their order, then a hidden mse (Wiener)
+row when mse was not requested.  The VAD reads the mse estimate, so no gain
+can hide speech from the VAD that sets its own floor.  An input's frames are
+strictly sequential since each frame's estimate depends on the previous one,
+so a block is squared, its constants formed and its speech counted once, and
+the rest runs frame by frame.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .shrinkage import _QUIET, ShrinkageKind, _check_kinds, gain_rows_unchecked
+from .shrinkage import _ONE, _QUIET, _ZERO, ShrinkageKind, _check_kinds, _constant
+from .shrinkage import gain_rows_unchecked
 
-
-def _constant(value) -> np.ndarray:
-    """``value`` as a read-only 0-d array.  As the operand of a ufunc it gives
-    the bits the Python number gives, but skips the conversion numpy makes of
-    a Python scalar on every call, about 0.2 us; the step makes about twenty
-    such calls per frame."""
-    a = np.array(value)
-    a.flags.writeable = False
-    return a
-
-
-_ZERO, _ONE = _constant(0.0), _constant(1.0)
 _ZERO_FRAMES, _ONE_FRAME = _constant(0), _constant(1)
 # Decision-directed smoothing weight for the VAD-internal prior SNR, and the
 # weight of the current observation.
@@ -44,20 +36,21 @@ _GAMMA_CAP = _constant(1e6)
 class TrackerState:
     """Tracker state, updated in place by :func:`step`.
 
-    ``gain`` holds the previous frame's gain of each kind in ``rows``, shape
+    ``gain`` holds the last frame's gain of each kind in ``rows``, shape
     ``(rows, ..., bins)``, the result of that frame's one gain call; the VAD
-    reads the first mse row.  ``noise_var`` and ``prev_noisy_sq``, the
-    previous frame's squared coefficients, have shape ``(..., bins)``, one row
-    per input; ``hang`` holds the hangover frames left per input, and
+    reads the first mse row.  ``noise_var`` and ``prev_noisy_sq``, the last
+    frame's squared coefficients, have shape ``(..., bins)``, one row per
+    input; ``hang`` holds the hangover frames left per input, and
     ``speech_frames`` the frames taken as speech so far (hangover included).
-    No field is a view of memory the caller owns.
+    No field is a view of memory the caller owns: the state keeps a copy of
+    the ``gain`` it is built with, and rewrites that copy in place.
 
     Building the state checks ``rows`` once: an entry that is not a
     ``ShrinkageKind`` raises ``_check_kinds``' ``ValueError`` before any frame.
     It also records the first mse row, the floor's mask ``~(noise_var > 0)``
-    and the scratch buffers each step reuses.  :func:`update_noise` refreshes
-    the mask whenever it moves the floor, so ``noise_var`` must change only
-    through it.
+    with whether it holds any bin, and the scratch buffers each frame reuses.
+    :func:`update_noise` refreshes the mask whenever it moves the floor, so
+    ``noise_var`` must change only through it.
     """
 
     rows: list
@@ -69,26 +62,33 @@ class TrackerState:
     frames_seen: int = 0
     _mse_row: int = field(init=False, repr=False, compare=False)
     _zero_floor: np.ndarray = field(init=False, repr=False, compare=False)
-    _next_sq: np.ndarray = field(init=False, repr=False, compare=False)
+    _floor_has_zero: bool = field(init=False, repr=False, compare=False)
     _scratch: tuple = field(init=False, repr=False, compare=False)
     _silent: np.ndarray = field(init=False, repr=False, compare=False)
+    _inv: np.ndarray = field(init=False, repr=False, compare=False)
     _u: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_kinds(self.rows)
         self._mse_row = self.rows.index(ShrinkageKind.MSE)
+        self.gain = np.array(self.gain, dtype=np.float64)
         shape = self.noise_var.shape
         self._zero_floor = np.empty(shape, dtype=bool)
         _mark_zero_floor(self)
-        self._next_sq = np.empty(shape)
         self._scratch = tuple(np.empty(shape) for _ in range(3))
         self._silent = np.empty(shape, dtype=bool)
+        self._inv = np.empty(self.gain.shape)
         self._u = np.empty(self.gain.shape)
 
 
 def _mark_zero_floor(state: TrackerState) -> None:
-    np.greater(state.noise_var, _ZERO, out=state._zero_floor)
-    np.logical_not(state._zero_floor, out=state._zero_floor)
+    """Record whether the floor holds a bin that is not positive, and if so
+    which.  Without one the floor's masks select nothing, so the frames skip
+    them."""
+    live = np.greater(state.noise_var, _ZERO, out=state._zero_floor)
+    state._floor_has_zero = not live.all()
+    if state._floor_has_zero:
+        np.logical_not(live, out=state._zero_floor)
 
 
 def initialize(first_frames: np.ndarray, kinds) -> TrackerState:
@@ -125,23 +125,28 @@ def vad(x_sq: np.ndarray, state: TrackerState) -> np.ndarray:
     current observation.
     """
     with np.errstate(**_QUIET):
-        return _llr(x_sq, np.square(state.gain[state._mse_row]), state)
+        g_mse_sq = np.square(state.gain[state._mse_row])
+        return _llr(x_sq, g_mse_sq, state.prev_noisy_sq, state)
 
 
-def _llr(x_sq: np.ndarray, g_mse_sq: np.ndarray, state: TrackerState) -> np.ndarray:
-    """:func:`vad` given the previous mse gain squared, for a caller that has
-    switched warnings off."""
+def _llr(x_sq, g_mse_sq, prev_sq, state: TrackerState) -> np.ndarray:
+    """:func:`vad` given the previous mse gain squared and the previous
+    frame's squares, for a caller that has switched warnings off.  The two
+    masks run only while the floor holds a zero: elsewhere ``0 / noise_var``
+    is already +0, and no bin is on a zero floor."""
     nv = state.noise_var
     gamma, rho, dd = state._scratch
     np.divide(x_sq, nv, out=gamma)
-    silent = state._silent
-    np.logical_not(np.greater(x_sq, _ZERO, out=silent), out=silent)
-    np.copyto(gamma, _ZERO, where=silent)
+    if state._floor_has_zero:
+        silent = state._silent
+        np.logical_not(np.greater(x_sq, _ZERO, out=silent), out=silent)
+        np.copyto(gamma, _ZERO, where=silent)
     np.minimum(gamma, _GAMMA_CAP, out=gamma)
-    np.multiply(g_mse_sq, state.prev_noisy_sq, out=dd)
+    np.multiply(g_mse_sq, prev_sq, out=dd)
     dd *= _DD_WEIGHT
     dd /= nv
-    np.copyto(dd, _ZERO, where=state._zero_floor)
+    if state._floor_has_zero:
+        np.copyto(dd, _ZERO, where=state._zero_floor)
     np.subtract(gamma, _ONE, out=rho)
     np.maximum(rho, _ZERO, out=rho)
     rho *= _DD_REST
@@ -172,54 +177,76 @@ def update_noise(
     _mark_zero_floor(state)
 
 
-def step(
-    state: TrackerState, frame: np.ndarray, config
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the tracker by one frame, keeping each row's gain for it in
-    ``gain``; return ``(inv_xi, speech)``.
+def step(state: TrackerState, block: np.ndarray, config, out: np.ndarray):
+    """Advance the tracker over a block of frames; write each frame's
+    coefficients times its gain into ``out`` and return ``(inv_xi, speech)``.
 
-    ``frame`` has ``noise_var``'s shape.  ``config`` is the denoiser's
-    ``DenoiserConfig``; the step reads its ``vad_threshold``,
-    ``vad_hangover``, ``eta``, ``beta`` and ``alpha``.  ``speech`` has one
-    flag per input, also added to ``speech_frames``.  An input counts as
-    speech when its VAD statistic exceeds ``vad_threshold`` or for
-    ``vad_hangover`` frames after one that did; its noise variance updates
-    with weight ``eta`` only otherwise.  Each row then has, with the updated
-    variance and ``b = beta`` (``b = 1`` on the first frame),
-    ``1/xi = b * noise_var/X**2 + (1-b) * (1 - g_prev**2)``, the previous
-    frame's ``S**2/X**2`` being its gain squared.  ``X = 0`` gives
+    ``block`` has shape ``(..., n, bins)``: ``n >= 1`` frames of each input,
+    its leading axes broadcasting to ``noise_var``'s.  ``out`` has shape
+    ``(k, ..., n, bins)``, with ``k <= len(rows)`` and ``noise_var``'s
+    leading axes; ``out[r, ..., j, :]`` becomes frame ``j`` times its gain of
+    ``rows[r]``, so ``k = len(kinds)`` gives the requested kinds' rows and
+    skips the hidden mse row.  ``config`` is the denoiser's ``DenoiserConfig``;
+    the step reads its ``vad_threshold``, ``vad_hangover``, ``eta``, ``beta``
+    and ``alpha``.  Stepping a signal block by block gives the bits of
+    stepping it frame by frame, whatever the split.
+
+    Per frame: an input counts as speech when its VAD statistic exceeds
+    ``vad_threshold`` or for ``vad_hangover`` frames after one that did; its
+    noise variance updates with weight ``eta`` only otherwise.  Each row then
+    has, with the updated variance and ``b = beta`` (``b = 1`` on the first
+    frame), ``1/xi = b * noise_var/X**2 + (1-b) * (1 - g_prev**2)``, the
+    previous frame's ``S**2/X**2`` being its gain squared.  ``X = 0`` gives
     ``1/xi = inf``, or NaN where ``noise_var`` is 0 too, so zero gain.  Row
-    ``k`` of ``gain`` becomes the gain of ``rows[k]`` at ``u = alpha/xi``, by
-    which the caller multiplies ``frame``.
+    ``r`` of ``gain`` becomes the gain of ``rows[r]`` at ``u = alpha/xi``.
+    ``speech`` has shape ``(..., n)``, one flag per input and frame, and its
+    count per input is added to ``speech_frames``; ``inv_xi`` holds the last
+    frame's ``1/xi``, one row per entry of ``rows``.
 
-    Buffers: the step squares ``frame`` into a buffer the state owns and then
-    swaps it with ``prev_noisy_sq``, so the array ``prev_noisy_sq`` held
-    before a step is overwritten by the next step.  ``noise_var``, ``hang``
-    and ``speech_frames`` are updated in place.  The returned
-    ``inv_xi`` and ``speech``, and the array ``gain`` held before the step,
-    are never written again.  The step keeps no reference to ``frame``.
+    Buffers: ``gain`` and the returned ``inv_xi`` are the state's, rewritten
+    in place by every frame, so a caller that keeps a frame's gain or
+    ``inv_xi`` must copy it.  The block's squares go into a new array, and
+    ``prev_noisy_sq`` becomes a copy of its last frame, so the array
+    ``prev_noisy_sq`` held before a step is never written again, nor is
+    ``speech``.  ``noise_var``,
+    ``hang`` and ``speech_frames`` are updated in place.  The step keeps no
+    reference to ``block`` or ``out``.
     """
-    x_sq = state._next_sq
+    n = block.shape[-2]
+    # frame-major, so that each frame's squares are one contiguous slab
+    squares = np.empty((n,) + state.noise_var.shape)
+    speech = np.empty(state.hang.shape + (n,), dtype=bool)
+    threshold = _constant(config.vad_threshold)
+    hangover = _constant(config.vad_hangover)
+    alpha = _constant(config.alpha)
+    beta, rest = _constant(config.beta), _constant(1.0 - config.beta)
+    gain, inv, u = state.gain, state._inv, state._u
+    mse = state._mse_row
     with np.errstate(**_QUIET):
-        np.square(frame, out=x_sq)
-        # g_prev**2 serves the VAD's mse row and becomes every row's 1/xi
-        inv = np.square(state.gain)
-        raw = _llr(x_sq, inv[state._mse_row], state) > config.vad_threshold
-        speech = raw | (state.hang > _ZERO_FRAMES)
-        np.maximum(state.hang - _ONE_FRAME, _ZERO_FRAMES, out=state.hang)
-        np.copyto(state.hang, config.vad_hangover, where=raw)
-        state.speech_frames += speech
-        update_noise(x_sq, speech, state, config.eta)
-        b = config.beta if state.frames_seen else 1.0
-        posterior = np.multiply(state.noise_var, b, out=state._scratch[0])
-        posterior /= x_sq
-        # (1 - b) * (1 - g_prev**2) + b * noise_var / X**2
-        np.subtract(_ONE, inv, out=inv)
-        inv *= 1.0 - b
-        inv += posterior
-        u = np.multiply(inv, config.alpha, out=state._u)
-        state.gain = gain_rows_unchecked(state.rows, u)
-    state._next_sq = state.prev_noisy_sq
-    state.prev_noisy_sq = x_sq
-    state.frames_seen += 1
+        np.square(np.moveaxis(block, -2, 0), out=squares)
+        prev_sq = state.prev_noisy_sq
+        for j in range(n):
+            x_sq = squares[j]
+            # g_prev**2 serves the VAD's mse row and becomes every row's 1/xi
+            np.square(gain, out=inv)
+            raw = _llr(x_sq, inv[mse], prev_sq, state) > threshold
+            speech_j = np.logical_or(raw, state.hang > _ZERO_FRAMES, out=speech[..., j])
+            np.subtract(state.hang, _ONE_FRAME, out=state.hang)
+            np.maximum(state.hang, _ZERO_FRAMES, out=state.hang)
+            np.copyto(state.hang, hangover, where=raw)
+            update_noise(x_sq, speech_j, state, config.eta)
+            b, rest_b = (beta, rest) if state.frames_seen + j else (_ONE, _ZERO)
+            posterior = np.multiply(state.noise_var, b, out=state._scratch[0])
+            posterior /= x_sq
+            # (1 - b) * (1 - g_prev**2) + b * noise_var / X**2
+            np.subtract(_ONE, inv, out=inv)
+            inv *= rest_b
+            inv += posterior
+            np.multiply(inv, alpha, out=u)
+            gain_rows_unchecked(state.rows, u, out=gain)
+            np.multiply(gain[: out.shape[0]], block[..., j, :], out=out[..., j, :])
+            prev_sq = x_sq
+    state.speech_frames += np.add.reduce(speech, axis=-1)
+    state.prev_noisy_sq = prev_sq.copy()  # so the block's squares are freed on return
+    state.frames_seen += n
     return inv, speech

@@ -7,6 +7,8 @@ from hypothesis import settings
 from numpy.lib.introspect import opt_func_info
 
 from riskshrink.audio import AudioBuffer
+from riskshrink.shrinkage import ShrinkageKind
+from riskshrink.stdct import FrameGrid, overlap_add_block
 
 # Property tests draw the same examples on every run, so CI never meets a
 # failure that the next run cannot reproduce.
@@ -36,6 +38,38 @@ def pytest_report_header(config):
         f"numpy {np.__version__} float64 targets: exp {dispatch_target('exp')}, "
         f"log {dispatch_target('log')}; checking the {NUMPY_DISPATCH} digests"
     )
+
+
+# The closed forms of the seven gains as plain expressions of the inverse SNR
+# ``u``: the reference that the package's in-place kernels must match bit for
+# bit, away from the points where ``u`` is not finite.
+CLOSED_FORMS = {
+    ShrinkageKind.MSE: lambda u: np.maximum(1.0 - u, 0.0),
+    ShrinkageKind.WE: lambda u: 1.0 / (
+        (((360.0 * u + 48.0) * u - 1.0) * u + 1.0) * u + 1.0),
+    ShrinkageKind.LOG_MSE: lambda u: np.exp(
+        np.minimum((((-210.0 * u - 10.0) * u - 0.75) * u + 0.5) * u, 0.0)),
+    ShrinkageKind.IS: lambda u: 1.0 / ((840.0 * u + 60.0) * u * u * u + 1.0),
+    ShrinkageKind.IS_II: lambda u: 1.0 / np.sqrt(
+        np.maximum((((4200.0 * u + 360.0) * u - 3.0) * u + 1.0) * u + 1.0, 1.0)),
+    ShrinkageKind.COSH: lambda u: np.sqrt(
+        np.minimum((1.0 + u) / ((840.0 * u + 60.0) * u * u * u + 1.0), 1.0)),
+    ShrinkageKind.WCOSH: lambda u: 1.0 / np.sqrt(
+        np.maximum((((8400.0 * u + 420.0) * u + 3.0) * u - 1.0) * u + 1.0, 1.0)),
+}
+
+
+def overlap_normalize(out: np.ndarray, grid: FrameGrid, window: np.ndarray) -> np.ndarray:
+    """The whole-signal reference of the normalizer that ``pipeline`` rolls
+    block by block: divide accumulated overlap-add output in place by the
+    overlap-add of ``window * window`` over the whole grid.  Every sample of
+    the grid lies in some frame, so with the Hamming window that sum is at
+    least ``0.08**2``."""
+    norm = np.zeros(grid.padded_len)
+    squares = np.broadcast_to(window * window, (grid.num_frames, grid.frame_len))
+    overlap_add_block(norm, squares, grid)
+    out /= norm
+    return out
 
 
 def make_voiced(

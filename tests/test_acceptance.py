@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import make_voiced
+from conftest import make_voiced, overlap_normalize
 from riskshrink.audio import generate_white_noise, mix_at_snr, write_wav
 from riskshrink.cli import main as cli_main
 from riskshrink.metrics import gain_report
@@ -32,7 +32,6 @@ from riskshrink.stdct import (
     hamming_window,
     make_frame_grid,
     overlap_add_block,
-    overlap_normalize,
 )
 
 N_SAMPLES = 1_000_000

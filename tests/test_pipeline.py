@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import NUMPY_DISPATCH, make_voiced
+from conftest import NUMPY_DISPATCH, make_voiced, overlap_normalize
 from riskshrink.audio import generate_white_noise, mix_at_snr, read_wav, write_wav
 from riskshrink.metrics import global_snr_db
 from riskshrink import shrinkage, stdct, tracking
@@ -53,6 +53,31 @@ def test_config_defaults_give_standard_geometry():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         DenoiserConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"sample_rate": 8000.5}, "sample_rate must be an integer"),  # was frame_len 320
+        ({"sample_rate": 8000.0}, "sample_rate must be an integer"),
+        ({"sample_rate": "8000"}, "sample_rate must be an integer"),  # was a TypeError
+        ({"alpha": "1"}, "alpha must be a real number"),  # was a TypeError
+        ({"vad_threshold": "0.1"}, "vad_threshold must be a real number"),  # was a TypeError
+        ({"frame_ms": "40"}, "frame_ms must be a real number"),
+        ({"overlap_fraction": None}, "overlap_fraction must be a real number"),
+        ({"beta": 0.5 + 0j}, "beta must be a real number"),
+        ({"eta": [0.9]}, "eta must be a real number"),
+    ],
+)
+def test_config_refuses_a_field_of_the_wrong_type_naming_it(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        DenoiserConfig(**kwargs)
+
+
+def test_config_takes_numpy_numbers():
+    cfg = DenoiserConfig(sample_rate=np.int64(16000), alpha=np.float64(1.5), beta=np.float32(0.5),
+                         vad_threshold=np.int32(0))
+    assert (cfg.frame_len, cfg.hop) == (640, 160)
 
 
 @pytest.mark.parametrize(
@@ -128,7 +153,11 @@ def test_determinism_bit_identical():
 
 
 def test_unit_gain_hook_reduces_to_roundtrip(monkeypatch):
-    monkeypatch.setattr(tracking, "gain_rows_unchecked", lambda kinds, u: np.ones_like(u))
+    def unit(kinds, u, out):
+        out.fill(1.0)
+        return out
+
+    monkeypatch.setattr(tracking, "gain_rows_unchecked", unit)
     rng = np.random.default_rng(33)
     x = 0.3 * rng.standard_normal(4000)
     out = denoise(x, DenoiserConfig())
@@ -140,9 +169,9 @@ def test_unit_gain_hook_reduces_to_roundtrip(monkeypatch):
 def test_one_gain_call_per_frame_covers_every_stream(monkeypatch):
     calls = []
 
-    def counted(kinds, u):
+    def counted(kinds, u, out):
         calls.append(u.shape)
-        return shrinkage.gain_rows_unchecked(kinds, u)
+        return shrinkage.gain_rows_unchecked(kinds, u, out)
 
     monkeypatch.setattr(tracking, "gain_rows_unchecked", counted)
     noisy = np.random.default_rng(34).standard_normal((2, 4000))
@@ -158,7 +187,7 @@ def test_kinds_are_checked_once_before_the_first_frame(monkeypatch):
     # a string is not a kind: building the tracker state refuses it, so no
     # frame reaches the per-frame gain call; a valid run checks its rows once
     gains = []
-    monkeypatch.setattr(tracking, "gain_rows_unchecked", lambda kinds, u: gains.append(u))
+    monkeypatch.setattr(tracking, "gain_rows_unchecked", lambda kinds, u, out: gains.append(u))
     noisy = np.random.default_rng(35).standard_normal((1, 4000))
     with pytest.raises(ValueError, match="kind must be a ShrinkageKind"):
         tracking.initialize(np.ones((1, 3, 8)), ["mse"])
@@ -191,8 +220,9 @@ def _lockstep_inputs(n):
 
 def test_frame_by_frame_with_reused_buffers_equals_denoise_kinds():
     # A streaming denoiser reuses one coefficient buffer and one output buffer
-    # for every frame.  The tracker keeps no reference to either, so poisoning
-    # both after each use leaves every output bit as the block loop gives it.
+    # for every frame, a block of one.  The tracker keeps no reference to
+    # either, so poisoning both after each use leaves every output bit as the
+    # block loop gives it.
     noisy = _lockstep_inputs(4000)
     kinds = [ShrinkageKind.WCOSH, ShrinkageKind.IS]  # and the hidden mse row
     cfg = DenoiserConfig()
@@ -201,18 +231,17 @@ def test_frame_by_frame_with_reused_buffers_equals_denoise_kinds():
     frames = stdct.frame_view(noisy, grid)
     init = stdct.dct_forward(frames[:, : cfg.init_noise_frames] * window)
     state = tracking.initialize(init, kinds)
-    coeffs = np.empty((3, cfg.frame_len))
-    denoised = np.empty((len(kinds), 3, cfg.frame_len))
+    coeffs = np.empty((3, 1, cfg.frame_len))
+    denoised = np.empty((len(kinds), 3, 1, cfg.frame_len))
     out = np.zeros((len(kinds), 3, grid.padded_len))
     for j in range(grid.num_frames):
-        coeffs[...] = stdct.dct_forward(frames[:, j] * window)
-        tracking.step(state, coeffs, cfg)
-        np.multiply(state.gain[: len(kinds)], coeffs, out=denoised)
-        synthesized = stdct.dct_inverse(denoised)[..., None, :] * window
+        coeffs[...] = stdct.dct_forward(frames[:, j : j + 1] * window)
+        tracking.step(state, coeffs, cfg, denoised)
+        synthesized = stdct.dct_inverse(denoised) * window
         stdct.overlap_add_block(out[..., j * grid.hop :], synthesized, grid)
         coeffs.fill(np.nan)
         denoised.fill(np.nan)
-    stdct.overlap_normalize(out, grid, window)
+    overlap_normalize(out, grid, window)
     np.testing.assert_array_equal(out[..., :4000], denoise_kinds(noisy, cfg, kinds))
 
 
@@ -237,12 +266,13 @@ def test_spans_equal_one_whole_signal_overlap_add(overrides, n):
         stdct.dct_forward(frames[:, : cfg.init_noise_frames] * window), kinds
     )
     want = np.zeros((len(kinds), 3, grid.padded_len))
+    denoised = np.empty((len(kinds), 3, 1, cfg.frame_len))
     for j in range(grid.num_frames):
-        coeffs = stdct.dct_forward(frames[:, j] * window)
-        tracking.step(state, coeffs, cfg)
-        synthesized = stdct.dct_inverse(state.gain[: len(kinds)] * coeffs)[..., None, :]
+        coeffs = stdct.dct_forward(frames[:, j : j + 1] * window)
+        tracking.step(state, coeffs, cfg, denoised)
+        synthesized = stdct.dct_inverse(denoised)
         stdct.overlap_add_block(want[..., j * grid.hop :], synthesized * window, grid)
-    stdct.overlap_normalize(want, grid, window)
+    overlap_normalize(want, grid, window)
     got = np.full((len(kinds), 3, n), np.nan)
     end = 0
     for lo, span in denoise_spans(noisy, cfg, kinds):
@@ -447,7 +477,7 @@ def test_every_kind_makes_the_same_speech_decisions(monkeypatch):
 
     def recording_step(*args, **kwargs):
         inv_xi, speech = step(*args, **kwargs)
-        flags[kind].append(np.ravel(speech).copy())
+        flags[kind].extend(np.ravel(speech))
         return inv_xi, speech
 
     monkeypatch.setattr(tracking, "step", recording_step)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import riskshrink
+from conftest import CLOSED_FORMS
 from riskshrink import shrinkage
 from riskshrink.pipeline import DenoiserConfig, denoise_kinds
 from riskshrink.risklab import (
@@ -110,7 +111,7 @@ def test_gain_is_zero_exactly_where_u_is_not_finite(alpha):
     # u = alpha * inv as tracking.step forms it from an inverse SNR: inf, NaN
     # and a product that overflows (1e308 at alpha 1e300) shrink fully; every
     # other point, an underflow to 0 (5e-324 at alpha 1e-300) included, is the
-    # table's formula, and u = +-0 keeps all
+    # closed form, and u = +-0 keeps all
     with np.errstate(over="ignore"):
         u = alpha * np.array([np.inf, np.nan, 0.0, -0.0, 5e-324, 1e308])
     zero = np.array([True, True, False, False, False, alpha > 1.0])
@@ -120,9 +121,28 @@ def test_gain_is_zero_exactly_where_u_is_not_finite(alpha):
     for kind, row in zip(ALL_KINDS, g):
         assert row[zero].tobytes() == np.zeros(zero.sum()).tobytes(), kind
         with np.errstate(over="ignore"):
-            want = shrinkage._GAINS[kind](u[~zero])
+            want = CLOSED_FORMS[kind](u[~zero])
         assert row[~zero].tobytes() == want.tobytes(), kind
         assert row[2] == row[3] == 1.0, kind
+
+
+def test_in_place_kernels_equal_the_closed_forms_bitwise():
+    # the kernels evaluate each formula in place with 0-d constants, into
+    # rows of a buffer the caller owns; every finite u, the singular points
+    # of the formulas and the overflow range included, keeps the formula's bits
+    rng = np.random.default_rng(7)
+    u = np.concatenate([10.0 ** rng.uniform(-320, 308, 4000), 10.0 ** rng.uniform(-8, 4, 4000),
+                        [0.0, 5e-324, 1e-320, 1e-300, 1e-3, 0.5, 1.0, 1e300, 1.7e308]])
+    rows = np.stack([u, u[::-1]])  # (inputs, bins)
+    out = np.full((len(ALL_KINDS),) + rows.shape, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(**shrinkage._QUIET):
+            got = shrinkage.gain_rows_unchecked(ALL_KINDS, np.array([rows] * len(ALL_KINDS)), out)
+    assert got is out
+    for k, kind in enumerate(ALL_KINDS):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert out[k].tobytes() == CLOSED_FORMS[kind](rows).tobytes(), kind
 
 
 @pytest.mark.parametrize("kind", ["mse", 0, None])

@@ -3,6 +3,7 @@ import pytest
 import scipy.fft
 from hypothesis import given, reject, strategies as st
 
+from conftest import overlap_normalize
 from riskshrink.pipeline import DenoiserConfig
 from riskshrink.stdct import (
     FrameGrid,
@@ -12,7 +13,6 @@ from riskshrink.stdct import (
     hamming_window,
     make_frame_grid,
     overlap_add_block,
-    overlap_normalize,
 )
 
 
@@ -175,6 +175,31 @@ def test_overlap_add_zero_frames():
     assert np.all(out == 0.0)
 
 
+@pytest.mark.parametrize(
+    "hop, frame_lens",
+    [(1, range(1, 4)), (5, range(5, 16)), (110, (441, 549))],
+    ids=["hop-1", "hop-5-every-width", "hop-110"],
+)
+def test_overlap_add_equals_frame_by_frame_at_every_piece_width(hop, frame_lens):
+    # a frame is added in hop-wide pieces counted back from its end, so the
+    # first piece is frame_len % hop samples wide when the hop does not
+    # divide the frame: at hop 5 frame_len takes every such width, 1 to 5,
+    # with one to three pieces; 441/110 is the 11025 Hz geometry, whose first
+    # piece is 1 sample.  The accumulator starts nonzero, so a sample that
+    # summed its frames out of grid order would round differently.
+    rng = np.random.default_rng(hop)
+    for frame_len in frame_lens:
+        grid = make_frame_grid(frame_len + 9 * hop, frame_len, hop)
+        frames = rng.standard_normal((2, grid.num_frames, frame_len))
+        start = 1e3 * rng.standard_normal((2, grid.padded_len + 3))
+        want = start.copy()
+        for j in range(grid.num_frames):
+            want[:, j * hop : j * hop + frame_len] += frames[:, j]
+        got = start.copy()
+        overlap_add_block(got, frames, grid)
+        assert got.tobytes() == want.tobytes(), frame_len
+
+
 _GEOMETRIES = pytest.mark.parametrize(
     "frame_len, hop", [(320, 80), (441, 110)], ids=["hop-divides", "hop-does-not-divide"]
 )
@@ -280,7 +305,7 @@ def test_identity_roundtrip_with_a_hop_that_does_not_divide_the_frame(frame_len,
 def test_every_accepted_geometry_normalizes_every_sample(
     sample_rate, frame_ms, overlap_fraction
 ):
-    # make_frame_grid and overlap_normalize check nothing: DenoiserConfig
+    # make_frame_grid and overlap_add_block check nothing: DenoiserConfig
     # bounds the hop, and the Hamming window keeps every norm >= 0.08**2.
     try:
         config = DenoiserConfig(

@@ -4,8 +4,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
+from conftest import CLOSED_FORMS
 from riskshrink.pipeline import DenoiserConfig
-from riskshrink import shrinkage
 from riskshrink.shrinkage import ShrinkageKind
 from riskshrink.tracking import TrackerState, initialize, step, vad
 
@@ -29,17 +31,19 @@ def _state(noise_var, gain=None, prev_noisy=None, frames_seen=1):
 
 
 def _step(state, frame, threshold=0.15, hangover=0, eta=0.98, beta=0.98, alpha=1.75):
-    return step(
-        state,
-        np.asarray(frame, dtype=np.float64),
-        DenoiserConfig(
-            vad_threshold=threshold,
-            vad_hangover=hangover,
-            eta=eta,
-            beta=beta,
-            alpha=alpha,
-        ),
+    """One frame as a block of one; returns its ``inv_xi`` and speech flags."""
+    block = np.asarray(frame, dtype=np.float64)[..., None, :]
+    config = DenoiserConfig(
+        vad_threshold=threshold, vad_hangover=hangover, eta=eta, beta=beta, alpha=alpha
     )
+    inv, speech = step(state, block, config, _out(state, block))
+    return inv, speech[..., 0]
+
+
+def _out(state, block):
+    """A buffer for every row's denoised ``block``, filled with NaN."""
+    inputs, bins = state.noise_var.shape[:-1], state.noise_var.shape[-1]
+    return np.full((len(state.rows),) + inputs + block.shape[-2:-1] + (bins,), np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -298,25 +302,35 @@ def test_step_records_history():
 
 
 def test_step_buffer_contract():
-    # What a caller may keep across steps: the returned inv and speech and the
-    # gain array held before a step are never written again.  The array
-    # prev_noisy_sq held before a step is the state's scratch: the next step
-    # squares its frame into it and hands it back as prev_noisy_sq.
+    # What a caller may keep across steps: the returned speech flags and the
+    # array prev_noisy_sq held before a step are never written again.  gain
+    # and the returned inv are the state's own buffers, rewritten in place by
+    # every frame.  The step keeps no reference to the block or to out, so
+    # poisoning both after each step moves no later bit.
     x = np.random.default_rng(24).standard_normal((2, 12, 16))
     x[0, 6:8] *= 10.0  # input 0 speaks, input 1 does not
     state = initialize(x[:, :3], [ShrinkageKind.WE])
-    kept, held = [], []
-    for j in range(x.shape[1]):
-        held.append(state.prev_noisy_sq)
-        gain = state.gain
-        inv, speech = step(state, x[:, j], DenoiserConfig())
-        kept += [(a, a.copy()) for a in (gain, inv, speech)]
-        assert state.gain is not gain and state.prev_noisy_sq is not held[-1]
-        if j:
-            assert held[j - 1] is state.prev_noisy_sq
-        assert state.prev_noisy_sq.tobytes() == np.square(x[:, j]).tobytes()
-    assert all(_bits(a) == _bits(copy) for a, copy in kept)
+    gain = state.gain
+    clean = initialize(x[:, :3], [ShrinkageKind.WE])
+    kept, held, invs = [], [], set()
+    for lo, hi in ((0, 1), (1, 5), (5, 12)):
+        held.append((state.prev_noisy_sq, state.prev_noisy_sq.copy()))
+        block, out = x[:, lo:hi].copy(), _out(state, x[:, lo:hi])
+        inv, speech = step(state, block, DenoiserConfig(), out)
+        want = _out(clean, x[:, lo:hi])
+        step(clean, x[:, lo:hi].copy(), DenoiserConfig(), want)
+        assert out.tobytes() == want.tobytes()
+        block.fill(np.nan)
+        out.fill(np.nan)
+        kept.append((speech, speech.copy()))
+        invs.add(id(inv))
+        assert state.gain is gain and gain.flags.c_contiguous
+        assert state.prev_noisy_sq.tobytes() == np.square(x[:, hi - 1]).tobytes()
+    assert len(invs) == 1
+    assert all(_bits(a) == _bits(copy) for a, copy in kept + held)
     assert state.speech_frames[0] > state.speech_frames[1]  # frames of mixed decisions
+    for name in _REFERENCE_FIELDS:
+        assert _bits(getattr(state, name)) == _bits(getattr(clean, name)), name
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +354,12 @@ def test_noise_var_tracks_stationary_noise():
 # the step against a reference transcription
 # ---------------------------------------------------------------------------
 # The reference is a plain transcription of the step as it stood before it
-# reused buffers, cached the floor's mask, took 0-d array constants and opened
-# one np.errstate per frame: fresh arrays, Python float constants, every mask
-# recomputed, every gain row evaluated through the shrinkage table.  The step
-# must match it bit for bit, field by field.
+# took blocks of frames, reused buffers, cached the floor's mask, skipped the
+# masks on a floor without a zero, took 0-d array constants and opened one
+# np.errstate per block: one frame at a time, fresh arrays, Python float
+# constants, every mask recomputed, every gain row evaluated through the
+# closed forms as plain expressions.  The step must match it bit for bit,
+# field by field, whatever the split into blocks.
 
 
 def _reference_initialize(first_frames, kinds):
@@ -405,7 +421,7 @@ def _reference_step(ref, frame, config):
         u = np.multiply(inv, config.alpha)
         gain = np.empty(u.shape)
         for k, kind in enumerate(ref.rows):
-            gain[k] = shrinkage._GAINS[kind](u[k])
+            gain[k] = CLOSED_FORMS[kind](u[k])
     np.copyto(gain, 0.0, where=~np.isfinite(u))
     ref.gain = gain
     ref.prev_noisy_sq = x_sq
@@ -470,11 +486,19 @@ _REFERENCE_CONFIGS = {
 }
 
 
+def _blocks(frames, seed):
+    """``(lo, hi)`` bounds of a split of ``frames`` frames into a block of 1,
+    one of 16 and then seeded blocks of 1 to 16 frames."""
+    sizes = [1, 16, *np.random.default_rng(seed).integers(1, 17, size=frames)]
+    bounds = np.unique(np.minimum(np.cumsum(np.concatenate([[0], sizes])), frames))
+    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+
 @pytest.mark.parametrize("config", _REFERENCE_CONFIGS.values(), ids=_REFERENCE_CONFIGS)
 @pytest.mark.parametrize("kinds", _REFERENCE_KINDS.values(), ids=_REFERENCE_KINDS)
 @pytest.mark.parametrize("inputs", [None, 1, 2, 3])
 def test_step_matches_reference_bit_for_bit(inputs, kinds, config):
-    # inputs=None: one input without its axis, frames of shape (bins,)
+    # inputs=None: one input without its axis, blocks of shape (n, bins)
     config, expected = config
     x = _reference_frames(inputs or 1, seed=inputs or 0)
     if inputs is None:
@@ -483,26 +507,81 @@ def test_step_matches_reference_bit_for_bit(inputs, kinds, config):
     ref = _reference_initialize(x[..., :4, :], kinds)
     assert state.rows == ref.rows
     seen = set()
+    blocks = _blocks(x.shape[-2], seed=inputs or 0)
+    assert {hi - lo for lo, hi in blocks} >= {1, 16}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for j in range(x.shape[-2]):
-            frame = x[..., j, :]
-            assert _bits(vad(np.square(frame), state)) == _bits(
-                _reference_vad(np.square(frame), ref)
-            ), j
-            live = ref.noise_var > 0.0
-            inv, speech = step(state, frame, config)
-            want_inv, want_speech = _reference_step(ref, frame, config)
-            assert _bits(inv) == _bits(want_inv), j
-            assert _bits(speech) == _bits(want_speech), j
+        for lo, hi in blocks:
+            first = np.square(x[..., lo, :])
+            assert _bits(vad(first, state)) == _bits(_reference_vad(first, ref)), lo
+            block = x[..., lo:hi, :]
+            out = _out(state, block)
+            inv, speech = step(state, block, config, out)
+            for j in range(lo, hi):
+                frame = x[..., j, :]
+                live = ref.noise_var > 0.0
+                want_inv, want_speech = _reference_step(ref, frame, config)
+                assert _bits(speech[..., j - lo]) == _bits(want_speech), j
+                assert _bits(out[..., j - lo, :]) == _bits(ref.gain * frame), j
+                seen |= {name for name, happened in (
+                    ("speech", want_speech.any()),
+                    ("noise", not want_speech.all()),
+                    ("hangover", (ref.hang > 0).any()),
+                    ("rose", (~live & (ref.noise_var > 0.0)).any()),
+                    ("fell", (live & (ref.noise_var == 0.0)).any()),
+                ) if happened}
+            assert _bits(inv) == _bits(want_inv), hi
             for name in _REFERENCE_FIELDS:
-                assert _bits(getattr(state, name)) == _bits(getattr(ref, name)), (j, name)
+                assert _bits(getattr(state, name)) == _bits(getattr(ref, name)), (hi, name)
             assert state.rows == ref.rows and state.frames_seen == ref.frames_seen
-            seen |= {name for name, happened in (
-                ("speech", speech.any()),
-                ("noise", not speech.all()),
-                ("hangover", (ref.hang > 0).any()),
-                ("rose", (~live & (ref.noise_var > 0.0)).any()),
-                ("fell", (live & (ref.noise_var == 0.0)).any()),
-            ) if happened}
     assert expected <= seen
+
+
+def _split_frames(inputs, seed):
+    """Seeded frames, shape ``(inputs, 56, 10)``, whose first 4 frames
+    initialize the floor.  Input 0 opens with digital silence, so its floor
+    starts at 0 in every bin; the last input has a silent gap mid-file; one
+    coefficient is the smallest subnormal, whose square underflows to 0."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((inputs, 56, 10))
+    x[rng.random((inputs, 56)) < 0.3] *= 8.0
+    x[0, :6] = 0.0
+    x[-1, 24:33] = 0.0
+    x[-1, 40, 3] = 5e-324
+    return x
+
+
+@settings(max_examples=40)
+@given(
+    inputs=st.integers(1, 3),
+    kinds=st.lists(st.sampled_from(list(ShrinkageKind)), min_size=1, max_size=4),
+    sizes=st.lists(st.integers(1, 16), min_size=1, max_size=56),
+    config=st.sampled_from(list(_REFERENCE_CONFIGS)),
+    seed=st.integers(0, 3),
+)
+def test_any_split_into_blocks_equals_frame_by_frame(inputs, kinds, sizes, config, seed):
+    # every field and every output bit of block stepping equals stepping one
+    # frame at a time, for any split, with and without mse among the kinds
+    config = _REFERENCE_CONFIGS[config][0]
+    x = _split_frames(inputs, seed)
+    blocked, single = (initialize(x[:, :4], kinds) for _ in range(2))
+    assert not blocked.noise_var[0].any()
+    lo = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for size in sizes + [x.shape[1]]:
+            hi = min(lo + size, x.shape[1])
+            out = _out(blocked, x[:, lo:hi])
+            inv, speech = step(blocked, x[:, lo:hi], config, out)
+            for j in range(lo, hi):
+                one = _out(single, x[:, j : j + 1])
+                single_inv, single_speech = step(single, x[:, j : j + 1], config, one)
+                assert out[..., j - lo, :].tobytes() == one[..., 0, :].tobytes(), j
+                assert speech[:, j - lo].tobytes() == single_speech[:, 0].tobytes(), j
+            assert inv.tobytes() == single_inv.tobytes(), hi
+            for name in _REFERENCE_FIELDS:
+                assert _bits(getattr(blocked, name)) == _bits(getattr(single, name)), name
+            assert blocked.frames_seen == single.frames_seen == hi
+            lo = hi
+            if lo == x.shape[1]:
+                break
