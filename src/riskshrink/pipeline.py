@@ -128,10 +128,20 @@ def _run(x: np.ndarray, config: DenoiserConfig, kinds):
     advanced in place as ``spans`` runs: after the last span it has seen
     every frame.
     """
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains NaN or Inf samples")
     frame_len, hop = config.frame_len, config.hop
     init = config.init_noise_frames
+    # NaN and +-inf reach the extremes, so two reductions check every sample
+    hi, lo = (x.max(), x.min()) if x.size else (0.0, 0.0)
+    if not (np.isfinite(hi) and np.isfinite(lo)):
+        raise ValueError("input contains NaN or Inf samples")
+    # Parseval bounds a coefficient's square by frame_len * peak**2, and the
+    # initial noise floor sums init of them
+    peak, limit = max(hi, -lo), np.sqrt(np.finfo(np.float64).max / (frame_len * init))
+    if peak >= limit:
+        raise ValueError(
+            f"input peak {peak:.6g} is at or above {limit:.6g}, where the "
+            f"squares summed into the initial noise floor could overflow"
+        )
     min_len = init * hop + frame_len
     if x.shape[-1] < min_len:
         raise ValueError(

@@ -9,11 +9,18 @@ distortions with their estimates, and the high-SNR sure event.  Each check
 returns its own ``CheckResult`` (name, both sides and the tolerance that
 decides it); ``verification_suite`` only composes them.
 
+The checks repeat no work.  The sampler hands back its accepted draws
+without copying them when one batch is enough, so its result may be a view
+of that batch (always contiguous); each Stein row takes its three powers of
+``W`` from one chain of in-place products; the grid searches share one
+read-only grid per point count.  The bits are those of the plain formulas.
+
 All randomness flows through explicit integer seeds (numpy ``PCG64``
 generators, whose streams are platform-independent for a given numpy
 version), so every check reproduces exactly.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -97,7 +104,9 @@ def sample_truncated_gaussian(
     """Draw i.i.d. samples by rejection from the untruncated Gaussian.
 
     Deterministic for a fixed seed; every draw satisfies ``|w| < c*sigma``
-    strictly.
+    strictly.  The result is contiguous, and may be a view of the first batch
+    of draws (the whole batch when it holds nothing to reject), so it keeps
+    that batch alive: up to about ``count / normalizer + 16`` draws.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -108,11 +117,20 @@ def sample_truncated_gaussian(
             f"more than the limit of {_MAX_DRAWS:.0e}"
         )
     rng = np.random.default_rng(seed)
+    # oversample by the expected rejection rate plus slack
+    batch = rng.normal(0.0, spec.sigma, size=int(count / spec.normalizer) + 16)
+    # |b| < bound exactly when -bound < b < bound, and min and max build no
+    # temporary: a batch with nothing to reject is returned as it came
+    if -spec.bound < batch.min() and batch.max() < spec.bound:
+        return batch[:count]
+    kept = batch[np.abs(batch) < spec.bound]
+    if kept.size >= count:
+        return kept[:count]
     out = np.empty(count)
-    filled = 0
+    filled = kept.size
+    out[:filled] = kept
     while filled < count:
         need = count - filled
-        # oversample by the expected rejection rate plus slack
         batch = rng.normal(0.0, spec.sigma, size=int(need / spec.normalizer) + 16)
         kept = batch[np.abs(batch) < spec.bound]
         take = min(kept.size, need)
@@ -141,7 +159,8 @@ def _power(w: np.ndarray, k: int) -> np.ndarray:
 
 # Catalog of (f, f') pairs, each taking the draws ``w`` and the pole shift
 # ``s = 10 * spec.bound`` that keeps ``recip_shifted``'s pole far outside the
-# truncation support; the other entries ignore ``s``.  Powers of ``w`` are
+# truncation support; the other entries ignore ``s``.  Each f' returns a new
+# array, which the check scales in place.  Powers of ``w`` are
 # ``_power``'s left-to-right products: float ``**`` takes numpy's slow ``pow``
 # path on negative draws and rounds differently under each CPU dispatch.
 _STEIN_PAIRS = {
@@ -197,11 +216,21 @@ def generalized_stein_check(
     w = sample_truncated_gaussian(spec, n_samples, seed)
     shift = 10.0 * spec.bound
     fw = f(w, shift)
-    # max(n - 1, 0): at n = 0, W**-1 would turn a zero draw's 0 * f(0) into NaN
-    lhs_terms = _power(w, n + 1) * fw
-    rhs_terms = spec.sigma**2 * (
-        fprime(w, shift) * _power(w, n) + n * fw * _power(w, max(n - 1, 0))
-    )
+    # W**(n-1), W**n and W**(n+1) as one chain of _power's products, each
+    # term rounded as the formula reads; max(n - 1, 0): at n = 0, W**-1 would
+    # turn a zero draw's 0 * f(0) into NaN, so W**0 serves twice
+    powers = _power(w, max(n - 1, 0))
+    weighted = n * fw
+    weighted *= powers  # n f(W) W**(n-1)
+    if n:
+        powers *= w  # W**n
+    rhs_terms = fprime(w, shift)
+    rhs_terms *= powers
+    rhs_terms += weighted
+    rhs_terms *= spec.sigma**2  # sigma**2 (f'(W) W**n + n f(W) W**(n-1))
+    powers *= w  # W**(n+1)
+    lhs_terms = np.multiply(powers, fw, out=powers)
+    del w, fw, weighted
     name = f"stein:{f_id}" if n == 0 else f"stein_gen:n={n}:{f_id}"
     return _mc_row(f"{name}:sigma={spec.sigma:g}", lhs_terms, rhs_terms, math.exp(-spec.c**2))
 
@@ -241,7 +270,8 @@ def risk_estimate(kind: ShrinkageKind, a, x, sigma: float, clean=None):
     _check_kinds([kind])
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if not np.all((a >= 0.0) & (a <= 1.0)):
+    # two reductions, no temporary; NaN fails both comparisons
+    if a.size and not (a.min() >= 0.0 and a.max() <= 1.0):
         raise ValueError(f"gain candidate must lie in [0, 1], got {a}")
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
@@ -280,6 +310,15 @@ def risk_estimate(kind: ShrinkageKind, a, x, sigma: float, clean=None):
     return val
 
 
+@functools.lru_cache(maxsize=1)
+def _gain_grid(npts: int) -> np.ndarray:
+    """The oracle's even grid of ``npts`` gains on [0, 1], read-only.  A
+    suite's every grid search shares one grid; another size replaces it."""
+    grid = np.linspace(0.0, 1.0, npts)
+    grid.flags.writeable = False
+    return grid
+
+
 def oracle_argmin(
     kind: ShrinkageKind, x: float, sigma: float, grid_step: float = 1e-4
 ) -> float:
@@ -291,8 +330,7 @@ def oracle_argmin(
     """
     if not 0.0 < grid_step <= 0.5:
         raise ValueError(f"grid_step must be in (0, 0.5], got {grid_step}")
-    npts = int(round(1.0 / grid_step)) + 1
-    grid = np.linspace(0.0, 1.0, npts)
+    grid = _gain_grid(int(round(1.0 / grid_step)) + 1)
     values = risk_estimate(kind, grid, x, sigma)
     if x < 0.0 and kind in _MAXIMIZED_WHEN_NEGATIVE:
         idx = int(np.argmax(values))
@@ -421,6 +459,7 @@ def verification_suite(n_samples: int, seed: int, grid_step: float) -> list[Chec
         CheckResult("sampler:mean", float(np.mean(w)), 0.0, 0.005 * scale),
         CheckResult("sampler:variance", float(np.var(w)), variance, 0.01 * variance * scale),
     ]
+    del w  # the draws, and the batch they may view, are not needed again
 
     # closed-form gains against the grid oracle, one gain_rows call for every
     # scene; the grid search stays per scene (200 grids of step 1e-6: 1.6 GB)

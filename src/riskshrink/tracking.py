@@ -48,7 +48,8 @@ class TrackerState:
     Building the state checks ``rows`` once: an entry that is not a
     ``ShrinkageKind`` raises ``_check_kinds``' ``ValueError`` before any frame.
     It also records the first mse row, the floor's mask ``~(noise_var > 0)``
-    with whether it holds any bin, and the scratch buffers each frame reuses.
+    with whether it holds any bin, and the scratch buffers each frame reuses;
+    the buffer for a block's squares grows to the longest block stepped.
     :func:`update_noise` refreshes the mask whenever it moves the floor, so
     ``noise_var`` must change only through it.
     """
@@ -67,6 +68,7 @@ class TrackerState:
     _silent: np.ndarray = field(init=False, repr=False, compare=False)
     _inv: np.ndarray = field(init=False, repr=False, compare=False)
     _u: np.ndarray = field(init=False, repr=False, compare=False)
+    _squares: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_kinds(self.rows)
@@ -79,6 +81,7 @@ class TrackerState:
         self._silent = np.empty(shape, dtype=bool)
         self._inv = np.empty(self.gain.shape)
         self._u = np.empty(self.gain.shape)
+        self._squares = np.empty((0,) + shape)
 
 
 def _mark_zero_floor(state: TrackerState) -> None:
@@ -205,16 +208,18 @@ def step(state: TrackerState, block: np.ndarray, config, out: np.ndarray):
 
     Buffers: ``gain`` and the returned ``inv_xi`` are the state's, rewritten
     in place by every frame, so a caller that keeps a frame's gain or
-    ``inv_xi`` must copy it.  The block's squares go into a new array, and
-    ``prev_noisy_sq`` becomes a copy of its last frame, so the array
-    ``prev_noisy_sq`` held before a step is never written again, nor is
-    ``speech``.  ``noise_var``,
-    ``hang`` and ``speech_frames`` are updated in place.  The step keeps no
-    reference to ``block`` or ``out``.
+    ``inv_xi`` must copy it.  The block's squares go into a buffer the state
+    owns, which every step rewrites, and ``prev_noisy_sq`` becomes a new copy
+    of the last frame's, so the array ``prev_noisy_sq`` held before a step is
+    never written again, nor is ``speech``.  ``noise_var``, ``hang`` and
+    ``speech_frames`` are updated in place.  The step keeps no reference to
+    ``block`` or ``out``.
     """
     n = block.shape[-2]
     # frame-major, so that each frame's squares are one contiguous slab
-    squares = np.empty((n,) + state.noise_var.shape)
+    if state._squares.shape[0] < n:
+        state._squares = np.empty((n,) + state.noise_var.shape)
+    squares = state._squares[:n]
     speech = np.empty(state.hang.shape + (n,), dtype=bool)
     threshold = _constant(config.vad_threshold)
     hangover = _constant(config.vad_hangover)
@@ -247,6 +252,6 @@ def step(state: TrackerState, block: np.ndarray, config, out: np.ndarray):
             np.multiply(gain[: out.shape[0]], block[..., j, :], out=out[..., j, :])
             prev_sq = x_sq
     state.speech_frames += np.add.reduce(speech, axis=-1)
-    state.prev_noisy_sq = prev_sq.copy()  # so the block's squares are freed on return
+    state.prev_noisy_sq = prev_sq.copy()  # the next step rewrites the squares
     state.frames_seen += n
     return inv, speech

@@ -59,6 +59,12 @@ CLOSED_FORMS = {
 }
 
 
+def bits(a):
+    """Everything that makes two arrays bit-identical: dtype, shape, bytes."""
+    a = np.asarray(a)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
 def overlap_normalize(out: np.ndarray, grid: FrameGrid, window: np.ndarray) -> np.ndarray:
     """The whole-signal reference of the normalizer that ``pipeline`` rolls
     block by block: divide accumulated overlap-add output in place by the

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -131,6 +132,49 @@ def test_non_finite_input_rejected():
     x[100] = np.inf
     with pytest.raises(ValueError):
         denoise(x, DenoiserConfig())
+    x[100] = -np.inf
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        denoise(x, DenoiserConfig())
+
+
+def _amplitude_limit(cfg: DenoiserConfig) -> float:
+    return float(np.sqrt(np.finfo(np.float64).max / (cfg.frame_len * cfg.init_noise_frames)))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_huge_finite_input_refused(sign):
+    # at 1e300 a coefficient's square overflows: the tracker would take an
+    # infinite noise floor and return all zeros, so the peak is refused first
+    cfg = DenoiserConfig()
+    x = sign * make_voiced(8000, 0.5).samples
+    x[np.argmax(sign * x)] = sign * 1.0  # the peak carries the sign
+    for scale in (1e300, _amplitude_limit(cfg)):
+        with pytest.raises(ValueError, match=re.escape(f"{_amplitude_limit(cfg):.6g}")):
+            denoise(scale * x, cfg)
+    denoise(np.nextafter(_amplitude_limit(cfg), 0.0) * x, cfg)
+
+
+@pytest.mark.parametrize("shape", ["dc", "alternating"])
+@pytest.mark.parametrize("kind", list(ShrinkageKind))
+def test_input_just_below_the_amplitude_limit_runs_clean(kind, shape):
+    # the signals that put the most energy into one coefficient of every
+    # initial frame: the initial noise floor sums init_noise_frames squares
+    # without overflow, and no warning escapes (warnings are errors here)
+    cfg = DenoiserConfig(kind=kind)
+    x = np.ones(4000) if shape == "dc" else np.where(np.arange(4000) % 2, 1.0, -1.0)
+    out = denoise(np.nextafter(_amplitude_limit(cfg), 0.0) * x, cfg)
+    assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("kind", list(ShrinkageKind))
+def test_power_of_two_scale_moves_no_bit(kind):
+    # scaling by 2**k is exact in every operation of the denoiser while no
+    # intermediate overflows or goes subnormal, so a huge input that is
+    # accepted (about 8.2e149 here) gives the scaled bits of the plain one
+    x = make_voiced(8000, 0.5).samples + 0.1 * np.random.default_rng(31).standard_normal(4000)
+    cfg = DenoiserConfig(kind=kind)
+    scale = 2.0**498
+    assert denoise(scale * x, cfg).tobytes() == (scale * denoise(x, cfg)).tobytes()
 
 
 def test_non_mono_rejected():

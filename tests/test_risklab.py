@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from conftest import NUMPY_DISPATCH
+from conftest import NUMPY_DISPATCH, bits
 from riskshrink import risklab
 from riskshrink.risklab import (
     GAIN_POINT_XI10,
@@ -567,6 +567,135 @@ def test_event_probability_below_threshold():
 def test_event_probability_at_boundary():
     scene = SyntheticScene(clean=10.0, spec=SPEC1)  # exactly 2*c*sigma
     assert high_snr_event_check(scene, 100_000, seed=20).lhs == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The lab's fast paths against plain transcriptions of the code they replaced
+# ---------------------------------------------------------------------------
+
+
+def _sampler_reference(spec, count, seed):
+    """The rejection sampler copying every accepted draw into a new array;
+    also returns the batches drawn and whether the first rejected any."""
+    rng = np.random.default_rng(seed)
+    out = np.empty(count)
+    filled, batches, first_rejected = 0, 0, False
+    while filled < count:
+        need = count - filled
+        batch = rng.normal(0.0, spec.sigma, size=int(need / spec.normalizer) + 16)
+        kept = batch[np.abs(batch) < spec.bound]
+        first_rejected |= batches == 0 and kept.size < batch.size
+        batches += 1
+        take = min(kept.size, need)
+        out[filled : filled + take] = kept[:take]
+        filled += take
+    return out, batches, first_rejected
+
+
+def test_sampler_matches_its_copying_transcription():
+    # the three ways out of the sampler, each reached: a first batch with
+    # nothing to reject, one compacted to enough draws, one that comes up short
+    paths = set()
+    for c in (0.5, 1.0, 5.0):
+        spec = TruncatedGaussianSpec(sigma=1.3, c=c)
+        for count in (0, 1, 2, 17, 1000):
+            for seed in range(12):
+                want, batches, rejected = _sampler_reference(spec, count, seed)
+                got = sample_truncated_gaussian(spec, count, seed)
+                assert bits(got) == bits(want), (c, count, seed)
+                assert got.flags.c_contiguous
+                paths.add("refill" if batches > 1 else "compact" if rejected else "whole")
+    assert paths == {"whole", "compact", "refill"}
+
+
+def _power_reference(w, k):
+    out = np.ones_like(w)
+    for _ in range(k):
+        out *= w
+    return out
+
+
+def _stein_terms_reference(f_id, n, spec, n_samples, seed):
+    """Both per-draw terms of a Stein row as the formula reads, each power
+    built from 1 on its own."""
+    f, fprime = risklab._STEIN_PAIRS[f_id]
+    w = sample_truncated_gaussian(spec, n_samples, seed)
+    shift = 10.0 * spec.bound
+    fw = f(w, shift)
+    lhs = _power_reference(w, n + 1) * fw
+    rhs = spec.sigma**2 * (
+        fprime(w, shift) * _power_reference(w, n)
+        + n * fw * _power_reference(w, max(n - 1, 0))
+    )
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("sigma, c", [(0.5, 5.0), (1.0, 5.0), (2.0, 5.0), (1.3, 5.0), (1.0, 1.0)])
+def test_stein_terms_match_the_formula_bit_for_bit(monkeypatch, sigma, c, n):
+    # the suite's sigmas square exactly; at 1.3 a reordered rhs would round
+    # differently, and c = 1 sends the draws through the compacting sampler
+    spec = TruncatedGaussianSpec(sigma=sigma, c=c)
+    seen = []
+    mc_row = risklab._mc_row
+
+    def capture(name, lhs_terms, rhs_terms, *args, **kwargs):
+        seen.append((bits(lhs_terms), bits(rhs_terms)))
+        return mc_row(name, lhs_terms, rhs_terms, *args, **kwargs)
+
+    monkeypatch.setattr(risklab, "_mc_row", capture)
+    for seed, f_id in enumerate(STEIN_FUNCTION_IDS, start=40):
+        generalized_stein_check(f_id, n, spec, 2000, seed)
+        lhs, rhs = _stein_terms_reference(f_id, n, spec, 2000, seed)
+        assert seen.pop() == (bits(lhs), bits(rhs)), f_id
+
+
+def _oracle_reference(kind, x, sigma, grid_step):
+    grid = np.linspace(0.0, 1.0, int(round(1.0 / grid_step)) + 1)
+    values = risk_estimate(kind, grid, x, sigma)
+    maximized = x < 0.0 and kind in (ShrinkageKind.WE, ShrinkageKind.WCOSH)
+    return float(grid[np.argmax(values) if maximized else np.argmin(values)])
+
+
+@pytest.mark.parametrize("grid_step", [0.5, 0.3, 1e-2, 1e-4])
+def test_oracle_matches_its_linspace_transcription(grid_step):
+    rng = np.random.default_rng(47)
+    for kind in ShrinkageKind:
+        for _ in range(12):
+            sigma = rng.uniform(0.5, 2.0)
+            x = rng.choice([-1.0, 1.0]) * sigma * 10.0 ** rng.uniform(-0.5, 2.5)
+            got = oracle_argmin(kind, x, sigma, grid_step)
+            assert got.hex() == _oracle_reference(kind, x, sigma, grid_step).hex()
+    npts = int(round(1.0 / grid_step)) + 1
+    grid = risklab._gain_grid(npts)
+    assert bits(grid) == bits(np.linspace(0.0, 1.0, npts))
+    assert not grid.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        math.nan,
+        np.nextafter(1.0, 2.0),
+        -np.nextafter(0.0, 1.0),
+        -0.0,
+        0.0,
+        1.0,
+        [],
+        [0.25, math.nan],
+        [math.nan, 0.25],
+        [[0.0, 1.0], [0.5, -0.0]],
+        np.float64(0.5),
+    ],
+    ids=repr,
+)
+def test_range_check_matches_the_elementwise_test(a):
+    arr = np.asarray(a, dtype=np.float64)
+    if np.all((arr >= 0.0) & (arr <= 1.0)):
+        assert risk_estimate(ShrinkageKind.MSE, a, 1.0, 1.0).shape == arr.shape
+    else:
+        with pytest.raises(ValueError, match=r"gain candidate must lie in \[0, 1\]"):
+            risk_estimate(ShrinkageKind.MSE, a, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import CLOSED_FORMS
+from conftest import CLOSED_FORMS, bits
 from riskshrink.pipeline import DenoiserConfig
 from riskshrink.shrinkage import ShrinkageKind
 from riskshrink.tracking import TrackerState, initialize, step, vad
@@ -327,10 +327,27 @@ def test_step_buffer_contract():
         assert state.gain is gain and gain.flags.c_contiguous
         assert state.prev_noisy_sq.tobytes() == np.square(x[:, hi - 1]).tobytes()
     assert len(invs) == 1
-    assert all(_bits(a) == _bits(copy) for a, copy in kept + held)
+    assert all(bits(a) == bits(copy) for a, copy in kept + held)
     assert state.speech_frames[0] > state.speech_frames[1]  # frames of mixed decisions
     for name in _REFERENCE_FIELDS:
-        assert _bits(getattr(state, name)) == _bits(getattr(clean, name)), name
+        assert bits(getattr(state, name)) == bits(getattr(clean, name)), name
+
+
+def test_step_squares_into_one_state_buffer():
+    # blocks of 16 frames share one squares buffer; a shorter last block
+    # takes its front, and a longer block grows it once
+    x = np.random.default_rng(25).standard_normal((2, 45, 16))
+    state = initialize(x[:, :3], [ShrinkageKind.MSE])
+    buffers = []
+    for lo, hi in ((0, 16), (16, 32), (32, 37), (37, 45)):
+        block = x[:, lo:hi]
+        step(state, block, DenoiserConfig(), _out(state, block))
+        buffers.append(state._squares)
+    assert buffers[0] is buffers[1] is buffers[2] is buffers[3]
+    assert buffers[0].shape == (16, 2, 16)
+    assert not np.shares_memory(state.prev_noisy_sq, buffers[0])
+    step(state, x[:, :20], DenoiserConfig(), _out(state, x[:, :20]))
+    assert state._squares.shape == (20, 2, 16)
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +446,6 @@ def _reference_step(ref, frame, config):
     return inv, speech
 
 
-def _bits(a):
-    a = np.asarray(a)
-    return a.dtype.str, a.shape, a.tobytes()
-
-
 _REFERENCE_FIELDS = (
     "noise_var", "gain", "prev_noisy_sq", "hang", "speech_frames",
 )
@@ -513,7 +525,7 @@ def test_step_matches_reference_bit_for_bit(inputs, kinds, config):
         warnings.simplefilter("error")
         for lo, hi in blocks:
             first = np.square(x[..., lo, :])
-            assert _bits(vad(first, state)) == _bits(_reference_vad(first, ref)), lo
+            assert bits(vad(first, state)) == bits(_reference_vad(first, ref)), lo
             block = x[..., lo:hi, :]
             out = _out(state, block)
             inv, speech = step(state, block, config, out)
@@ -521,8 +533,8 @@ def test_step_matches_reference_bit_for_bit(inputs, kinds, config):
                 frame = x[..., j, :]
                 live = ref.noise_var > 0.0
                 want_inv, want_speech = _reference_step(ref, frame, config)
-                assert _bits(speech[..., j - lo]) == _bits(want_speech), j
-                assert _bits(out[..., j - lo, :]) == _bits(ref.gain * frame), j
+                assert bits(speech[..., j - lo]) == bits(want_speech), j
+                assert bits(out[..., j - lo, :]) == bits(ref.gain * frame), j
                 seen |= {name for name, happened in (
                     ("speech", want_speech.any()),
                     ("noise", not want_speech.all()),
@@ -530,9 +542,9 @@ def test_step_matches_reference_bit_for_bit(inputs, kinds, config):
                     ("rose", (~live & (ref.noise_var > 0.0)).any()),
                     ("fell", (live & (ref.noise_var == 0.0)).any()),
                 ) if happened}
-            assert _bits(inv) == _bits(want_inv), hi
+            assert bits(inv) == bits(want_inv), hi
             for name in _REFERENCE_FIELDS:
-                assert _bits(getattr(state, name)) == _bits(getattr(ref, name)), (hi, name)
+                assert bits(getattr(state, name)) == bits(getattr(ref, name)), (hi, name)
             assert state.rows == ref.rows and state.frames_seen == ref.frames_seen
     assert expected <= seen
 
@@ -580,7 +592,7 @@ def test_any_split_into_blocks_equals_frame_by_frame(inputs, kinds, sizes, confi
                 assert speech[:, j - lo].tobytes() == single_speech[:, 0].tobytes(), j
             assert inv.tobytes() == single_inv.tobytes(), hi
             for name in _REFERENCE_FIELDS:
-                assert _bits(getattr(blocked, name)) == _bits(getattr(single, name)), name
+                assert bits(getattr(blocked, name)) == bits(getattr(single, name)), name
             assert blocked.frames_seen == single.frames_seen == hi
             lo = hi
             if lo == x.shape[1]:
