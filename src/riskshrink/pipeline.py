@@ -169,8 +169,8 @@ def _spans(x, inside, grid, window, state, config, n_kinds):
     so every sample sums the same terms in the same order as one whole-signal
     accumulator would.  The tracker writes each block's denoised
     coefficients, every kind's, into one block buffer, where the inverse
-    transform runs one kind at a time in place; that buffer, the
-    accumulators and the span buffer are allocated once per run.
+    transform runs one kind at a time in place; it and the accumulators are
+    allocated once per run.  Each span views the accumulator's finished front.
     """
     frame_len, hop = grid.frame_len, grid.hop
     inputs = x.shape[0]
@@ -179,7 +179,6 @@ def _spans(x, inside, grid, window, state, config, n_kinds):
     norm = np.zeros(width)
     squares = np.broadcast_to(window * window, (_BLOCK_FRAMES, frame_len))
     denoised = np.empty((n_kinds, inputs, _BLOCK_FRAMES, frame_len))
-    out = np.empty((n_kinds, inputs, width))
     for start in range(0, grid.num_frames, _BLOCK_FRAMES):
         n = min(_BLOCK_FRAMES, grid.num_frames - start)
         if start + n <= inside.shape[1]:
@@ -196,7 +195,8 @@ def _spans(x, inside, grid, window, state, config, n_kinds):
         stdct.overlap_add_block(norm, squares[:n], grid)
         lo = start * hop
         done = n * hop if start + n < grid.num_frames else x.shape[-1] - lo
-        yield lo, np.divide(acc[..., :done], norm[:done], out=out[..., :done])
+        acc[..., :done] /= norm[:done]  # the shift below discards these samples
+        yield lo, acc[..., :done]
         for buf in (acc, norm):
             buf[..., : width - n * hop] = buf[..., n * hop :]
             buf[..., width - n * hop :] = 0.0

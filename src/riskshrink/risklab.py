@@ -270,14 +270,14 @@ def risk_estimate(kind: ShrinkageKind, a, x, sigma: float, clean=None):
     _check_kinds([kind])
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    # two reductions, no temporary; NaN fails both comparisons
+    # two reductions per array, no temporary; NaN fails every comparison
     if a.size and not (a.min() >= 0.0 and a.max() <= 1.0):
         raise ValueError(f"gain candidate must lie in [0, 1], got {a}")
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
-    if not np.all(np.isfinite(x)):
+    if x.size and not (-math.inf < x.min() and x.max() < math.inf):
         raise ValueError(f"{kind.value} risk estimate undefined at non-finite X")
-    if kind is not ShrinkageKind.MSE and np.any(x == 0.0):
+    if kind is not ShrinkageKind.MSE and not x.all():  # NaN is refused above
         raise ValueError(f"{kind.value} risk estimate undefined at X = 0")
     sig2 = sigma * sigma
     with np.errstate(**_QUIET):
@@ -431,22 +431,10 @@ _ORACLE_SCENES = 200
 
 
 def verification_suite(n_samples: int, seed: int, grid_step: float) -> list[CheckResult]:
-    """Run every numerical claim check and return one result row per check.
-
-    The Stein rows run first, so their ``_mc_row`` refuses fewer than two
-    draws before the sampler rows, listed first, divide by the count.
-    """
-    rows: list[CheckResult] = []
+    """Run every numerical claim check and return one result row per check."""
+    if n_samples < 2:  # every Monte Carlo row's _mc_row would refuse it
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     c = 5.0
-    sub = seed
-
-    # Stein identities, first-order (n = 0) and generalized
-    for sigma in (0.5, 1.0, 2.0):
-        spec = TruncatedGaussianSpec(sigma=sigma, c=c)
-        for n in (0, 1, 2, 3, 4):
-            for f_id in STEIN_FUNCTION_IDS:
-                sub += 1
-                rows.append(generalized_stein_check(f_id, n, spec, n_samples, sub))
 
     # sampler sanity at sigma = 1, from the suite's own seed; moment tolerances
     # are stated for 1e6 draws and widen as 1/sqrt(n) below that
@@ -454,12 +442,21 @@ def verification_suite(n_samples: int, seed: int, grid_step: float) -> list[Chec
     w = sample_truncated_gaussian(spec1, n_samples, seed)
     scale = max(1.0, math.sqrt(1_000_000 / n_samples))
     variance = spec1.variance
-    rows[:0] = [
+    rows = [
         CheckResult("sampler:support", float(np.mean(np.abs(w) >= spec1.bound)), 0.0, 0.0),
         CheckResult("sampler:mean", float(np.mean(w)), 0.0, 0.005 * scale),
         CheckResult("sampler:variance", float(np.var(w)), variance, 0.01 * variance * scale),
     ]
     del w  # the draws, and the batch they may view, are not needed again
+
+    # Stein identities, first-order (n = 0) and generalized
+    sub = seed
+    for sigma in (0.5, 1.0, 2.0):
+        spec = TruncatedGaussianSpec(sigma=sigma, c=c)
+        for n in (0, 1, 2, 3, 4):
+            for f_id in STEIN_FUNCTION_IDS:
+                sub += 1
+                rows.append(generalized_stein_check(f_id, n, spec, n_samples, sub))
 
     # closed-form gains against the grid oracle, one gain_rows call for every
     # scene; the grid search stays per scene (200 grids of step 1e-6: 1.6 GB)

@@ -3,8 +3,12 @@
 Each measure maps an inverse a-posteriori SNR ``u = alpha / xi`` (with
 ``xi = X**2 / sigma**2`` and the parametric refinement ``alpha``, both the
 caller's) to a gain in ``[0, 1]`` applied multiplicatively to the DCT
-coefficient.  Each gain is a clamp and a power of one polynomial in ``u``, one
-entry of ``_GAINS``, evaluated in place with 0-d constants.  :func:`gain_rows`
+coefficient.  Each gain is one row of the table ``_GAINS``: the coefficients
+of a polynomial ``p`` in ``u`` and one of five finishes that turn ``p`` into
+the gain (a clamp at 0, a reciprocal, ``exp`` of ``min(p, 0)``, an inverse
+square root of ``max(p, 1)``, or the square root of a ratio capped at 1).
+One evaluator, :func:`_horner`, writes ``p`` in place into the row's output
+with 0-d constants; the finish then runs in place on that row.  :func:`gain_rows`
 evaluates a kind per row of a stack after checking its arguments;
 :func:`gain_rows_unchecked`, the tracker's per-frame call, evaluates the same
 table without the checks, into a buffer the caller may own.
@@ -43,102 +47,64 @@ def _constant(value) -> np.ndarray:
 
 
 _ZERO, _ONE = _constant(0.0), _constant(1.0)
-_C = {c: _constant(c) for c in (
-    3.0, 10.0, 48.0, 60.0, 360.0, 420.0, 840.0, 4200.0, 8400.0, -210.0, 0.75, 0.5)}
 
 
-# Each closed form, evaluated in place into ``g`` (never ``u`` itself), in the
-# operation order of the formula in its comment, so the bits are the
-# formula's: a ufunc rounds each operation alike whether it writes a new
-# array or its own operand.
+def _horner(coeffs, u, g):
+    """``((c0 u + c1) u + ...) u + cn``, ``n >= 1``, into ``g`` (never ``u``
+    itself), in place; a zero coefficient, ``None``, adds nothing.  A ufunc
+    rounds each operation alike whether it writes a new array or its own
+    operand, so the bits are those of the plain expression."""
+    np.multiply(coeffs[0], u, out=g)
+    for c in coeffs[1:-1]:
+        if c is not None:
+            g += c
+        g *= u
+    if coeffs[-1] is not None:
+        g += coeffs[-1]
 
-def _mse(u, g):  # max(1 - u, 0)
-    np.subtract(_ONE, u, out=g)
+
+# The finish that turns the polynomial ``p`` in ``g`` into the gain, in place.
+
+def _clamp_at_zero(u, g):  # max(p, 0)
     np.maximum(g, _ZERO, out=g)
 
 
-def _we(u, g):  # 1 / ((((360u + 48)u - 1)u + 1)u + 1)
-    np.multiply(_C[360.0], u, out=g)
-    g += _C[48.0]
-    g *= u
-    g -= _ONE
-    g *= u
-    g += _ONE
-    g *= u
-    g += _ONE
+def _reciprocal(u, g):  # 1 / p
     np.divide(_ONE, g, out=g)
 
 
-def _log_mse(u, g):  # exp(min((((-210u - 10)u - 0.75)u + 0.5)u, 0))
-    np.multiply(_C[-210.0], u, out=g)
-    g -= _C[10.0]
-    g *= u
-    g -= _C[0.75]
-    g *= u
-    g += _C[0.5]
-    g *= u
+def _exp_nonpositive(u, g):  # exp(min(p, 0))
     np.minimum(g, _ZERO, out=g)
     np.exp(g, out=g)
 
 
-def _is_denominator(u, g):  # (840u + 60)u u u + 1
-    np.multiply(_C[840.0], u, out=g)
-    g += _C[60.0]
-    g *= u
-    g *= u
-    g *= u
-    g += _ONE
-
-
-def _is(u, g):  # 1 / ((840u + 60)u u u + 1)
-    _is_denominator(u, g)
-    np.divide(_ONE, g, out=g)
-
-
-def _is_ii(u, g):  # 1 / sqrt(max((((4200u + 360)u - 3)u + 1)u + 1, 1))
-    np.multiply(_C[4200.0], u, out=g)
-    g += _C[360.0]
-    g *= u
-    g -= _C[3.0]
-    g *= u
-    g += _ONE
-    g *= u
-    g += _ONE
+def _inverse_sqrt(u, g):  # 1 / sqrt(max(p, 1))
     np.maximum(g, _ONE, out=g)
     np.sqrt(g, out=g)
     np.divide(_ONE, g, out=g)
 
 
-def _cosh(u, g):  # sqrt(min((1 + u) / ((840u + 60)u u u + 1), 1))
-    _is_denominator(u, g)
+def _sqrt_ratio(u, g):  # sqrt(min((1 + u) / p, 1))
     np.divide(np.add(_ONE, u), g, out=g)
     np.minimum(g, _ONE, out=g)
     np.sqrt(g, out=g)
 
 
-def _wcosh(u, g):  # 1 / sqrt(max((((8400u + 420)u + 3)u - 1)u + 1, 1))
-    np.multiply(_C[8400.0], u, out=g)
-    g += _C[420.0]
-    g *= u
-    g += _C[3.0]
-    g *= u
-    g -= _ONE
-    g *= u
-    g += _ONE
-    np.maximum(g, _ONE, out=g)
-    np.sqrt(g, out=g)
-    np.divide(_ONE, g, out=g)
+def _gain(finish, *coeffs):
+    """A table entry: the coefficients of ``p``, highest power first, as 0-d
+    constants with each zero dropped to ``None``, and the finish."""
+    return tuple(None if c == 0.0 else _constant(float(c)) for c in coeffs), finish
 
 
-# Each gain is a clamp and a power of one polynomial in ``u``.
+# Each gain is a finish of one polynomial ``p`` in ``u``.
 _GAINS = {
-    ShrinkageKind.MSE: _mse,
-    ShrinkageKind.WE: _we,
-    ShrinkageKind.LOG_MSE: _log_mse,
-    ShrinkageKind.IS: _is,
-    ShrinkageKind.IS_II: _is_ii,
-    ShrinkageKind.COSH: _cosh,
-    ShrinkageKind.WCOSH: _wcosh,
+    ShrinkageKind.MSE: _gain(_clamp_at_zero, -1, 1),
+    ShrinkageKind.WE: _gain(_reciprocal, 360, 48, -1, 1, 1),
+    ShrinkageKind.LOG_MSE: _gain(_exp_nonpositive, -210, -10, -0.75, 0.5, 0),
+    ShrinkageKind.IS: _gain(_reciprocal, 840, 60, 0, 0, 1),
+    ShrinkageKind.IS_II: _gain(_inverse_sqrt, 4200, 360, -3, 1, 1),
+    ShrinkageKind.COSH: _gain(_sqrt_ratio, 840, 60, 0, 0, 1),
+    ShrinkageKind.WCOSH: _gain(_inverse_sqrt, 8400, 420, 3, -1, 1),
 }
 
 
@@ -172,7 +138,10 @@ def gain_rows_unchecked(kinds, u: np.ndarray, out: np.ndarray | None = None) -> 
     """
     g = np.empty(u.shape) if out is None else out
     for k, kind in enumerate(kinds):
-        _GAINS[kind](u[k], g[k, ...])
+        coeffs, finish = _GAINS[kind]
+        uk, gk = u[k], g[k, ...]
+        _horner(coeffs, uk, gk)
+        finish(uk, gk)
     no_evidence = np.isfinite(u)
     np.logical_not(no_evidence, out=no_evidence)
     np.copyto(g, _ZERO, where=no_evidence)

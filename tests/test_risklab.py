@@ -306,6 +306,18 @@ def test_zero_observation_rejected_for_non_mse():
         risk_estimate(ShrinkageKind.WE, 0.5, 0.0, 1.0)
     # the squared-error estimate stays defined there
     assert risk_estimate(ShrinkageKind.MSE, 0.5, 0.0, 1.0) == pytest.approx(1.0)
+    # a signed zero, alone, inside an array or a 2-D x, is refused alike
+    for kind in set(ShrinkageKind) - {ShrinkageKind.MSE}:
+        for x in (-0.0, [3.0, -0.0, 2.0], [[3.0, 2.0], [1.0, 0.0]]):
+            with pytest.raises(ValueError, match="undefined at X = 0"):
+                risk_estimate(kind, 0.5, x, 1.0)
+
+
+@pytest.mark.parametrize("kind", list(ShrinkageKind))
+def test_empty_observation_gives_an_empty_estimate(kind):
+    # no X to refuse: both X checks pass an empty x
+    assert risk_estimate(kind, 0.5, [], 1.0).shape == (0,)
+    assert risk_estimate(kind, 0.5, np.empty((2, 0)), 1.0, clean=3.0).shape == (2, 0)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.0])
@@ -327,6 +339,11 @@ def test_non_finite_observation_rejected(kind, x):
         risk_estimate(kind, 0.5, x, 1.0)
     with pytest.raises(ValueError, match="non-finite X"):
         risk_estimate(kind, 0.5, [3.0, x], 1.0, clean=3.0)
+    # inside an array, and in a 2-D x, beside a zero the X = 0 check would name
+    with pytest.raises(ValueError, match="non-finite X"):
+        risk_estimate(kind, 0.5, [3.0, x, -2.0], 1.0)
+    with pytest.raises(ValueError, match="non-finite X"):
+        risk_estimate(kind, 0.5, [[3.0, 0.0], [-2.0, x]], 1.0)
 
 
 def test_oracle_rejects_non_finite_observation():
@@ -524,6 +541,16 @@ def test_one_draw_is_rejected():
     ):
         with pytest.raises(ValueError, match="at least 2"):
             check()
+
+
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_suite_refuses_too_few_draws_before_it_draws(n_samples, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("the suite drew before refusing")
+
+    monkeypatch.setattr(risklab, "sample_truncated_gaussian", no_draws)
+    with pytest.raises(ValueError, match=f"at least 2, got {n_samples}"):
+        verification_suite(n_samples, seed=0, grid_step=1e-4)
 
 
 @pytest.mark.parametrize("n_samples", [0, 1])
