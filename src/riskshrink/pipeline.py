@@ -48,12 +48,12 @@ class DenoiserConfig:
 
     def __post_init__(self):
         # each field's type first, so that no comparison below can raise
-        # TypeError or accept a fractional rate
+        # TypeError or accept a fractional rate; a bool is no number here
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.type is int and not isinstance(v, (int, np.integer)):
+            if f.type is int and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
                 raise ValueError(f"{f.name} must be an integer, got {v!r}")
-            if f.type is float and not isinstance(v, numbers.Real):
+            if f.type is float and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
                 raise ValueError(f"{f.name} must be a real number, got {v!r}")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")

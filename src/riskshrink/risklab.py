@@ -104,9 +104,10 @@ def sample_truncated_gaussian(
     """Draw i.i.d. samples by rejection from the untruncated Gaussian.
 
     Deterministic for a fixed seed; every draw satisfies ``|w| < c*sigma``
-    strictly.  The result is contiguous, and may be a view of the first batch
-    of draws (the whole batch when it holds nothing to reject), so it keeps
-    that batch alive: up to about ``count / normalizer + 16`` draws.
+    strictly.  The result is a contiguous view: of the first batch of draws
+    when that holds nothing to reject, else of the accepted draws, to which
+    one more batch is appended while fewer than ``count`` are accepted.  So
+    it keeps up to about ``count / normalizer + 16`` draws alive.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -124,19 +125,11 @@ def sample_truncated_gaussian(
     if -spec.bound < batch.min() and batch.max() < spec.bound:
         return batch[:count]
     kept = batch[np.abs(batch) < spec.bound]
-    if kept.size >= count:
-        return kept[:count]
-    out = np.empty(count)
-    filled = kept.size
-    out[:filled] = kept
-    while filled < count:
-        need = count - filled
+    while kept.size < count:
+        need = count - kept.size
         batch = rng.normal(0.0, spec.sigma, size=int(need / spec.normalizer) + 16)
-        kept = batch[np.abs(batch) < spec.bound]
-        take = min(kept.size, need)
-        out[filled : filled + take] = kept[:take]
-        filled += take
-    return out
+        kept = np.concatenate([kept, batch[np.abs(batch) < spec.bound]])
+    return kept[:count]
 
 
 # ---------------------------------------------------------------------------

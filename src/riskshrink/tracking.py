@@ -21,7 +21,7 @@ import numpy as np
 from .shrinkage import _ONE, _QUIET, _ZERO, ShrinkageKind, _check_kinds, _constant
 from .shrinkage import gain_rows_unchecked
 
-_ZERO_FRAMES, _ONE_FRAME = _constant(0), _constant(1)
+_ZERO_FRAMES = _constant(0)
 # Decision-directed smoothing weight for the VAD-internal prior SNR, and the
 # weight of the current observation.
 _DD_WEIGHT = _constant(0.98)
@@ -47,11 +47,12 @@ class TrackerState:
 
     Building the state checks ``rows`` once: an entry that is not a
     ``ShrinkageKind`` raises ``_check_kinds``' ``ValueError`` before any frame.
-    It also records the first mse row, the floor's mask ``~(noise_var > 0)``
-    with whether it holds any bin, and the scratch buffers each frame reuses;
-    the buffer for a block's squares grows to the longest block stepped.
-    :func:`update_noise` refreshes the mask whenever it moves the floor, so
-    ``noise_var`` must change only through it.
+    It also records the first mse row, whether the floor holds a bin that is
+    not positive, and the scratch buffers each frame reuses, one of them the
+    bool ``_mask`` of the VAD's zero-floor masks; the buffer for a block's
+    squares grows to the longest block stepped.  :func:`update_noise`
+    refreshes the flag whenever it moves the floor, so ``noise_var`` must
+    change only through it.
     """
 
     rows: list
@@ -62,10 +63,9 @@ class TrackerState:
     speech_frames: np.ndarray
     frames_seen: int = 0
     _mse_row: int = field(init=False, repr=False, compare=False)
-    _zero_floor: np.ndarray = field(init=False, repr=False, compare=False)
     _floor_has_zero: bool = field(init=False, repr=False, compare=False)
     _scratch: tuple = field(init=False, repr=False, compare=False)
-    _silent: np.ndarray = field(init=False, repr=False, compare=False)
+    _mask: np.ndarray = field(init=False, repr=False, compare=False)
     _inv: np.ndarray = field(init=False, repr=False, compare=False)
     _u: np.ndarray = field(init=False, repr=False, compare=False)
     _squares: np.ndarray = field(init=False, repr=False, compare=False)
@@ -75,23 +75,18 @@ class TrackerState:
         self._mse_row = self.rows.index(ShrinkageKind.MSE)
         self.gain = np.array(self.gain, dtype=np.float64)
         shape = self.noise_var.shape
-        self._zero_floor = np.empty(shape, dtype=bool)
+        self._mask = np.empty(shape, dtype=bool)
         _mark_zero_floor(self)
         self._scratch = tuple(np.empty(shape) for _ in range(3))
-        self._silent = np.empty(shape, dtype=bool)
         self._inv = np.empty(self.gain.shape)
         self._u = np.empty(self.gain.shape)
         self._squares = np.empty((0,) + shape)
 
 
 def _mark_zero_floor(state: TrackerState) -> None:
-    """Record whether the floor holds a bin that is not positive, and if so
-    which.  Without one the floor's masks select nothing, so the frames skip
-    them."""
-    live = np.greater(state.noise_var, _ZERO, out=state._zero_floor)
-    state._floor_has_zero = not live.all()
-    if state._floor_has_zero:
-        np.logical_not(live, out=state._zero_floor)
+    """Record whether the floor holds a bin that is not positive.  Without
+    one the VAD's masks select nothing, so the frames skip them."""
+    state._floor_has_zero = not np.greater(state.noise_var, _ZERO, out=state._mask).all()
 
 
 def initialize(first_frames: np.ndarray, kinds) -> TrackerState:
@@ -118,38 +113,31 @@ def initialize(first_frames: np.ndarray, kinds) -> TrackerState:
     )
 
 
-def vad(x_sq: np.ndarray, state: TrackerState) -> np.ndarray:
-    """Average per-bin log-likelihood ratio of speech presence, per input.
+def vad(x_sq, g_mse_sq, prev_sq, state: TrackerState) -> np.ndarray:
+    """Average per-bin log-likelihood ratio of speech presence, per input,
+    run like the gains under the caller's ``np.errstate(**_QUIET)``.
 
     ``x_sq`` is the frame's squared coefficients, of ``noise_var``'s shape.
     Per bin the term is ``gamma * rho / (1 + rho) - log(1 + rho)`` with
     ``gamma`` the a-posteriori SNR and ``rho`` a decision-directed prior SNR
-    blending the previous mse estimate, ``g_mse**2 * prev_noisy_sq``, with the
-    current observation.
+    blending the previous mse estimate, ``g_mse_sq * prev_sq`` (the previous
+    mse gain squared times the previous frame's squares), with the current
+    observation.  The masks of silent bins and of a zero floor run only while
+    the floor holds a zero: elsewhere ``0 / noise_var`` is already +0.
     """
-    with np.errstate(**_QUIET):
-        g_mse_sq = np.square(state.gain[state._mse_row])
-        return _llr(x_sq, g_mse_sq, state.prev_noisy_sq, state)
-
-
-def _llr(x_sq, g_mse_sq, prev_sq, state: TrackerState) -> np.ndarray:
-    """:func:`vad` given the previous mse gain squared and the previous
-    frame's squares, for a caller that has switched warnings off.  The two
-    masks run only while the floor holds a zero: elsewhere ``0 / noise_var``
-    is already +0, and no bin is on a zero floor."""
     nv = state.noise_var
     gamma, rho, dd = state._scratch
     np.divide(x_sq, nv, out=gamma)
-    if state._floor_has_zero:
-        silent = state._silent
-        np.logical_not(np.greater(x_sq, _ZERO, out=silent), out=silent)
-        np.copyto(gamma, _ZERO, where=silent)
-    np.minimum(gamma, _GAMMA_CAP, out=gamma)
     np.multiply(g_mse_sq, prev_sq, out=dd)
     dd *= _DD_WEIGHT
     dd /= nv
     if state._floor_has_zero:
-        np.copyto(dd, _ZERO, where=state._zero_floor)
+        mask = state._mask
+        np.logical_not(np.greater(x_sq, _ZERO, out=mask), out=mask)
+        np.copyto(gamma, _ZERO, where=mask)
+        np.logical_not(np.greater(nv, _ZERO, out=mask), out=mask)
+        np.copyto(dd, _ZERO, where=mask)
+    np.minimum(gamma, _GAMMA_CAP, out=gamma)
     np.subtract(gamma, _ONE, out=rho)
     np.maximum(rho, _ZERO, out=rho)
     rho *= _DD_REST
@@ -234,10 +222,10 @@ def step(state: TrackerState, block: np.ndarray, config, out: np.ndarray):
             x_sq = squares[j]
             # g_prev**2 serves the VAD's mse row and becomes every row's 1/xi
             np.square(gain, out=inv)
-            raw = _llr(x_sq, inv[mse], prev_sq, state) > threshold
-            speech_j = np.logical_or(raw, state.hang > _ZERO_FRAMES, out=speech[..., j])
-            np.subtract(state.hang, _ONE_FRAME, out=state.hang)
-            np.maximum(state.hang, _ZERO_FRAMES, out=state.hang)
+            raw = vad(x_sq, inv[mse], prev_sq, state) > threshold
+            held = state.hang > _ZERO_FRAMES
+            speech_j = np.logical_or(raw, held, out=speech[..., j])
+            state.hang -= held
             np.copyto(state.hang, hangover, where=raw)
             update_noise(x_sq, speech_j, state, config.eta)
             b, rest_b = (beta, rest) if state.frames_seen + j else (_ONE, _ZERO)

@@ -68,6 +68,12 @@ def test_config_validation(kwargs):
         ({"overlap_fraction": None}, "overlap_fraction must be a real number"),
         ({"beta": 0.5 + 0j}, "beta must be a real number"),
         ({"eta": [0.9]}, "eta must be a real number"),
+        ({"frame_ms": True}, "frame_ms must be a real number"),  # was 16-sample frames
+        ({"vad_hangover": True}, "vad_hangover must be an integer"),
+        ({"init_noise_frames": True}, "init_noise_frames must be an integer"),
+        ({"alpha": True}, "alpha must be a real number"),
+        ({"sample_rate": False}, "sample_rate must be an integer"),
+        ({"vad_threshold": np.bool_(False)}, "vad_threshold must be a real number"),
     ],
 )
 def test_config_refuses_a_field_of_the_wrong_type_naming_it(kwargs, message):

@@ -620,8 +620,9 @@ def _sampler_reference(spec, count, seed):
 
 
 def test_sampler_matches_its_copying_transcription():
-    # the three ways out of the sampler, each reached: a first batch with
-    # nothing to reject, one compacted to enough draws, one that comes up short
+    # the three paths through the sampler, each reached: a first batch with
+    # nothing to reject, one compacted to enough draws, one that comes up
+    # short and is refilled
     paths = set()
     for c in (0.5, 1.0, 5.0):
         spec = TruncatedGaussianSpec(sigma=1.3, c=c)

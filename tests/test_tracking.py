@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CLOSED_FORMS, bits
 from riskshrink.pipeline import DenoiserConfig
-from riskshrink.shrinkage import ShrinkageKind
-from riskshrink.tracking import TrackerState, initialize, step, vad
+from riskshrink import tracking
+from riskshrink.shrinkage import _QUIET, ShrinkageKind
+from riskshrink.tracking import TrackerState, initialize, step
 
 
 def _state(noise_var, gain=None, prev_noisy=None, frames_seen=1):
@@ -38,6 +39,14 @@ def _step(state, frame, threshold=0.15, hangover=0, eta=0.98, beta=0.98, alpha=1
     )
     inv, speech = step(state, block, config, _out(state, block))
     return inv, speech[..., 0]
+
+
+def _vad(x_sq, state):
+    """The VAD statistic of squares ``x_sq`` as the step reads it: with the
+    state's mse gain squared and ``prev_noisy_sq``, warnings switched off."""
+    with np.errstate(**_QUIET):
+        g_mse_sq = np.square(state.gain[state.rows.index(ShrinkageKind.MSE)])
+        return tracking.vad(x_sq, g_mse_sq, state.prev_noisy_sq, state)
 
 
 def _out(state, block):
@@ -87,7 +96,7 @@ def test_initialize_leading_axes_are_streams():
 
 def test_vad_at_noise_floor_is_h0():
     state = _state(np.ones(64))
-    assert vad(np.ones(64), state) == pytest.approx(0.0, abs=1e-12)
+    assert _vad(np.ones(64), state) == pytest.approx(0.0, abs=1e-12)
     _, speech = _step(state, np.ones(64))
     assert not speech
 
@@ -96,21 +105,21 @@ def test_vad_loud_frame_is_h1():
     state = _state(np.ones(64))
     frame = np.zeros(64)
     frame[:32] = 10.0  # X^2 = 100 * noise_var on half the bins
-    assert vad(frame**2, state) > 10.0
+    assert _vad(frame**2, state) > 10.0
     _, speech = _step(state, frame)
     assert speech
 
 
 def test_vad_zero_frame_is_h0():
     state = _state(np.ones(8), gain=np.ones((1, 8)), prev_noisy=np.full(8, 2.0))
-    assert vad(np.zeros(8), state) <= 0.0
+    assert _vad(np.zeros(8), state) <= 0.0
     _, speech = _step(state, np.zeros(8))
     assert not speech
 
 
 def test_vad_zero_variance_bin_is_capped():
     state = _state([0.0, 1.0])
-    assert np.isfinite(vad(np.array([9.0, 1.0]), state))
+    assert np.isfinite(_vad(np.array([9.0, 1.0]), state))
     _, speech = _step(state, np.array([3.0, 1.0]))
     assert speech  # capped gamma on the dead bin dominates
 
@@ -126,7 +135,7 @@ def test_vad_mixes_live_and_zero_variance_bins_bitwise():
     x_sq = np.array([[0.0, 9.0, 0.0, 2.0, 1e-300, 8.0], [4.0, 0.0, 0.0, 1.0, 3.0, 1e-12]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        statistic = vad(x_sq, state)
+        statistic = _vad(x_sq, state)
     assert [float(v).hex() for v in statistic] == [
         "0x1.458067a3f815dp+18",
         "0x1.e8426413fa530p+18",
@@ -135,7 +144,7 @@ def test_vad_mixes_live_and_zero_variance_bins_bitwise():
 
 def test_vad_decision_invariant():
     frame = np.full(16, 1.4)
-    statistic = vad(frame**2, _state(np.ones(16)))
+    statistic = _vad(frame**2, _state(np.ones(16)))
     for thr in (-1.0, 0.0, 0.15, 5.0):
         _, speech = _step(_state(np.ones(16)), frame, threshold=thr)
         assert speech == (statistic > thr)
@@ -350,6 +359,24 @@ def test_step_squares_into_one_state_buffer():
     assert state._squares.shape == (20, 2, 16)
 
 
+def test_step_calls_the_public_vad_once_per_frame(monkeypatch):
+    # the step runs tracking.vad itself, once per frame for all inputs, so a
+    # wrapper of the public name (the benchmark's tracer) sees every frame
+    x = np.random.default_rng(26).standard_normal((2, 20, 16))
+    state = initialize(x[:, :4], [ShrinkageKind.WE])
+    calls = []
+    vad = tracking.vad
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return vad(*args)
+
+    monkeypatch.setattr(tracking, "vad", counted)
+    block = x[:, 4:20]
+    step(state, block, DenoiserConfig(), _out(state, block))
+    assert calls == [(2, 16)] * 16
+
+
 # ---------------------------------------------------------------------------
 # long-run statistical behavior
 # ---------------------------------------------------------------------------
@@ -371,12 +398,13 @@ def test_noise_var_tracks_stationary_noise():
 # the step against a reference transcription
 # ---------------------------------------------------------------------------
 # The reference is a plain transcription of the step as it stood before it
-# took blocks of frames, reused buffers, cached the floor's mask, skipped the
-# masks on a floor without a zero, took 0-d array constants and opened one
-# np.errstate per block: one frame at a time, fresh arrays, Python float
-# constants, every mask recomputed, every gain row evaluated through the
-# closed forms as plain expressions.  The step must match it bit for bit,
-# field by field, whatever the split into blocks.
+# took blocks of frames, reused buffers, skipped the floor's masks on a floor
+# without a zero, counted the hangover down without a clamp, took 0-d array
+# constants and opened one np.errstate per block: one frame at a time, fresh
+# arrays, Python float constants, every mask computed, the hangover clamped
+# at 0, every gain row evaluated through the closed forms as plain
+# expressions.  The step must match it bit for bit, field by field, whatever
+# the split into blocks.
 
 
 def _reference_initialize(first_frames, kinds):
@@ -525,7 +553,7 @@ def test_step_matches_reference_bit_for_bit(inputs, kinds, config):
         warnings.simplefilter("error")
         for lo, hi in blocks:
             first = np.square(x[..., lo, :])
-            assert bits(vad(first, state)) == bits(_reference_vad(first, ref)), lo
+            assert bits(_vad(first, state)) == bits(_reference_vad(first, ref)), lo
             block = x[..., lo:hi, :]
             out = _out(state, block)
             inv, speech = step(state, block, config, out)
@@ -547,6 +575,31 @@ def test_step_matches_reference_bit_for_bit(inputs, kinds, config):
                 assert bits(getattr(state, name)) == bits(getattr(ref, name)), (hi, name)
             assert state.rows == ref.rows and state.frames_seen == ref.frames_seen
     assert expected <= seen
+
+
+def test_longest_hangover_counts_down_like_the_reference():
+    # the largest hangover DenoiserConfig takes: one raw-speech frame sets
+    # hang to 2**63 - 1, and each quiet frame after it is held speech that
+    # counts hang down by one, with no overflow, as max(hang - 1, 0) does
+    longest = 2**63 - 1
+    config = DenoiserConfig(vad_hangover=longest)
+    x = np.full((2, 24, 8), 0.5)
+    x[:, :4] = 1.0
+    x[0, 4] = 10.0  # input 0 speaks once; input 1 never does
+    kinds = [ShrinkageKind.COSH]
+    state, ref = initialize(x[..., :4, :], kinds), _reference_initialize(x[..., :4, :], kinds)
+    for j in range(4, 24):
+        _, speech = step(state, x[..., j : j + 1, :], config, _out(state, x[..., j : j + 1, :]))
+        _, want_speech = _reference_step(ref, x[..., j, :], config)
+        assert state.hang.tolist() == [longest - (j - 4), 0], j
+        assert speech[:, 0].tolist() == [True, False], j
+        assert bits(speech[:, 0]) == bits(want_speech), j
+        for name in _REFERENCE_FIELDS:
+            assert bits(getattr(state, name)) == bits(getattr(ref, name)), (j, name)
+    blocked = initialize(x[..., :4, :], kinds)
+    _, speech = step(blocked, x[..., 4:, :], config, _out(blocked, x[..., 4:, :]))
+    assert bits(speech) == bits(np.stack([np.ones(20, bool), np.zeros(20, bool)]))
+    assert bits(blocked.hang) == bits(state.hang)
 
 
 def _split_frames(inputs, seed):
