@@ -109,9 +109,11 @@ def _parse_field(name: str, raw: str, where: str):
 def _parse_config_file(path: str) -> dict:
     raw_bytes = Path(path).read_bytes()
     try:
-        text = raw_bytes.decode("utf-8")
+        # a leading byte-order mark (a "UTF-8 with BOM" file) is skipped
+        text = raw_bytes.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        lineno = raw_bytes.count(b"\n", 0, exc.start) + 1
+        # the offsets count the bytes after the mark, which exc.object holds
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

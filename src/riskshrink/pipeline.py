@@ -25,9 +25,6 @@ from . import stdct, tracking
 from .audio import AudioBuffer, read_wav, write_wav
 from .shrinkage import ShrinkageKind, _check_kinds
 
-# The tracker counts hangover frames down in int64.
-_MAX_HANGOVER = int(np.iinfo(np.int64).max)
-
 
 @dataclass(frozen=True)
 class DenoiserConfig:
@@ -85,9 +82,9 @@ class DenoiserConfig:
             )
         if not np.isfinite(self.vad_threshold):
             raise ValueError(f"vad_threshold must be finite, got {self.vad_threshold}")
-        if not 0 <= self.vad_hangover <= _MAX_HANGOVER:
+        if not 0 <= self.vad_hangover <= tracking._MAX_HANGOVER:
             raise ValueError(
-                f"vad_hangover must be in [0, {_MAX_HANGOVER}], got {self.vad_hangover}"
+                f"vad_hangover must be in [0, {tracking._MAX_HANGOVER}], got {self.vad_hangover}"
             )
 
     @property
@@ -247,8 +244,7 @@ def denoise(noisy: np.ndarray, config: DenoiserConfig) -> np.ndarray:
     x = np.asarray(noisy, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a mono signal, got shape {x.shape}")
-    out, _ = _collect(x[None], config, [config.kind])
-    return out[0, 0]
+    return denoise_kinds(x[None], config, [config.kind])[0, 0]
 
 
 def denoise_file(in_path, out_path, config: DenoiserConfig) -> DenoiseSummary:

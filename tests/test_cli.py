@@ -500,6 +500,32 @@ def test_config_file_not_utf8_names_file_and_line(fixture_wavs, tmp_path, capsys
     assert f"{cfg}:1: not UTF-8 text" in capsys.readouterr().err
 
 
+def test_config_file_with_utf8_bom_and_crlf(fixture_wavs, tmp_path, capsys):
+    # "UTF-8 with BOM", as Windows Notepad saves it: the mark is skipped
+    clean, _ = fixture_wavs
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfframe_ms=32\r\nkind=cosh\r\n")
+    rc = main(["denoise", "--in", str(clean), "--out", str(tmp_path / "o.wav"),
+               "--config", str(cfg)])
+    assert rc == 0
+    line = json.loads(capsys.readouterr().out)
+    rate = read_wav(clean).sample_rate
+    assert line["kind"] == "cosh"
+    assert line["frame_len"] == DenoiserConfig(sample_rate=rate, frame_ms=32.0).frame_len
+
+
+def test_config_file_with_bom_names_the_line_of_a_bad_byte(fixture_wavs, tmp_path, capsys):
+    # the bad byte opens line 2, closer to the start than the mark is long
+    clean, _ = fixture_wavs
+    cfg = tmp_path / "bom_bad.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfkind=mse\r\n\xffalpha=2\r\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["denoise", "--in", str(clean), "--out", str(tmp_path / "o.wav"),
+              "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"{cfg}:2: not UTF-8 text" in capsys.readouterr().err
+
+
 def test_sample_rate_is_neither_flag_nor_config_key(fixture_wavs, tmp_path):
     # the WAV header sets the rate
     clean, _ = fixture_wavs

@@ -342,23 +342,6 @@ def test_step_buffer_contract():
         assert bits(getattr(state, name)) == bits(getattr(clean, name)), name
 
 
-def test_step_squares_into_one_state_buffer():
-    # blocks of 16 frames share one squares buffer; a shorter last block
-    # takes its front, and a longer block grows it once
-    x = np.random.default_rng(25).standard_normal((2, 45, 16))
-    state = initialize(x[:, :3], [ShrinkageKind.MSE])
-    buffers = []
-    for lo, hi in ((0, 16), (16, 32), (32, 37), (37, 45)):
-        block = x[:, lo:hi]
-        step(state, block, DenoiserConfig(), _out(state, block))
-        buffers.append(state._squares)
-    assert buffers[0] is buffers[1] is buffers[2] is buffers[3]
-    assert buffers[0].shape == (16, 2, 16)
-    assert not np.shares_memory(state.prev_noisy_sq, buffers[0])
-    step(state, x[:, :20], DenoiserConfig(), _out(state, x[:, :20]))
-    assert state._squares.shape == (20, 2, 16)
-
-
 def test_step_calls_the_public_vad_once_per_frame(monkeypatch):
     # the step runs tracking.vad itself, once per frame for all inputs, so a
     # wrapper of the public name (the benchmark's tracer) sees every frame
