@@ -71,10 +71,11 @@ def _parse_kind(text: str) -> ShrinkageKind:
         raise ValueError(f"unknown kind {name!r} (choose from: {_KIND_NAMES})") from None
 
 
-def _parse_kinds(text: str) -> list[ShrinkageKind]:
-    if text.strip().lower() == "all":
-        return list(ShrinkageKind)
-    return [_parse_kind(name) for name in text.split(",")]
+def _parse_list(text: str, flag: str, parse) -> list:
+    """``parse`` of each non-blank item of the comma list ``text``; none is an error."""
+    if not text.replace(",", "").strip():
+        raise ValueError(f"{flag} must be non-empty")
+    return [parse(v) for v in text.split(",") if v.strip()]
 
 
 def _parse_alpha(text: str) -> float:
@@ -189,13 +190,12 @@ def _cmd_denoise(args, parser) -> int:
 
 def _cmd_evaluate(args, parser) -> int:
     try:
-        kinds = _parse_kinds(args.kinds)
-        snrs = [float(v) for v in args.snr_list.split(",") if v.strip()]
-        seeds = [int(v) for v in args.seeds.split(",") if v.strip()]
+        every = args.kinds.strip().lower() == "all"
+        named = list(ShrinkageKind) if every else _parse_list(args.kinds, "--kinds", _parse_kind)
+        snrs = sorted(_parse_list(args.snr_list, "--snr-list", float))
+        seeds = _parse_list(args.seeds, "--seeds", int)
     except ValueError as exc:
         parser.error(str(exc))
-    if not snrs or not seeds:
-        parser.error("--snr-list and --seeds must be non-empty")
     if not all(map(math.isfinite, snrs)):
         parser.error("--snr-list values must be finite")
     if min(seeds) < 0:
@@ -203,10 +203,9 @@ def _cmd_evaluate(args, parser) -> int:
     clean = read_wav(args.clean)
     noise = read_wav(args.noise)
 
-    kinds = [k for k in ShrinkageKind if k in kinds]  # row order, no repeats
+    kinds = [k for k in ShrinkageKind if k in named]  # row order, no repeats
     config = DenoiserConfig(sample_rate=clean.sample_rate, alpha=args.alpha)
     metrics = [f.name for f in fields(GainReport)]
-    snrs = sorted(snrs)
     # every SNR and seed is one stream of a single lockstep run, scored as
     # the denoiser finishes each span; stream s * len(seeds) + i mixes the
     # s-th SNR with the i-th seed
@@ -250,7 +249,8 @@ def _cmd_curves(args, parser) -> int:
     if not (0 < step < math.inf and lo <= hi and math.isfinite((hi - lo) / step)):
         parser.error("--xi-db-range needs finite lo <= hi, 0 < step, finite (hi-lo)/step")
 
-    n = int(np.floor((hi - lo) / step + 0.5)) + 1
+    # no point past hi; 1e-9 keeps hi in 0.1:0.7:0.2 (ratio 2.9999999999999996)
+    n = math.floor((hi - lo) / step * (1 + 1e-9)) + 1
     if n > _MAX_CURVE_POINTS:
         parser.error(
             f"--xi-db-range gives {n} points, more than the limit of {_MAX_CURVE_POINTS}"

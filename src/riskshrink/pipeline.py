@@ -148,41 +148,42 @@ def _run(x: np.ndarray, config: DenoiserConfig, kinds):
 
     grid = stdct.make_frame_grid(x.shape[-1], frame_len, hop)
     window = stdct.hamming_window(frame_len)
-    # every frame but a last one that runs past the end lies inside x
-    inside = stdct.frame_view(x, grid, 0, (x.shape[-1] - frame_len) // hop + 1)
-    state = tracking.initialize(stdct.dct_forward(inside[:, :init] * window), kinds)
-    return state, _spans(x, inside, grid, window, state, config, len(kinds))
+    frames = stdct.frame_view(x, grid, 0, init)  # inside x, by min_len
+    state = tracking.initialize(stdct.dct_forward(frames * window), kinds)
+    return state, _spans(x, grid, window, state, config, len(kinds))
 
 
-def _spans(x, inside, grid, window, state, config, n_kinds):
-    """The span generator of :func:`_run`; ``inside`` views the frames that
-    lie inside ``x``.
+def _spans(x, grid, window, state, config, n_kinds):
+    """The span generator of :func:`_run`.
 
-    A block of frames starting at frame ``start`` finishes every sample
-    before the next block's first frame.  Overlap-add runs in a rolling
-    accumulator that starts at sample ``start * hop`` and spans one block's
-    frames; the samples still open after a block move to its front.  The
-    normalizer, the overlap-add of ``window * window``, rolls the same way,
-    so every sample sums the same terms in the same order as one whole-signal
-    accumulator would.  The tracker writes each block's denoised
-    coefficients, every kind's, into one block buffer, where the inverse
-    transform runs one kind at a time in place; it and the accumulators are
-    allocated once per run.  Each span views the accumulator's finished front.
+    Every block is framed from one block-wide input window, which holds the
+    block's samples of ``x`` and zeros past its end.  A block starting at
+    frame ``start`` finishes every sample before the next block's first
+    frame.  Overlap-add runs in a rolling accumulator that starts at sample
+    ``start * hop`` and spans one block's frames; the samples still open
+    after a block move to its front.  The normalizer, the overlap-add of
+    ``window * window``, rolls the same way, so every sample sums the same
+    terms in the same order as one whole-signal accumulator would.  The
+    tracker writes each block's denoised coefficients, every kind's, into one
+    block buffer, where the inverse transform runs one kind at a time in
+    place; it, the input window and the accumulators are allocated once per
+    run.  Each span views the accumulator's finished front.
     """
     frame_len, hop = grid.frame_len, grid.hop
     inputs = x.shape[0]
     width = (_BLOCK_FRAMES - 1) * hop + frame_len
+    window_in = np.empty((inputs, width))
+    frames = stdct.frame_view(window_in, grid, 0, _BLOCK_FRAMES)
     acc = np.zeros((n_kinds, inputs, width))
     norm = np.zeros(width)
     squares = np.broadcast_to(window * window, (_BLOCK_FRAMES, frame_len))
     denoised = np.empty((n_kinds, inputs, _BLOCK_FRAMES, frame_len))
     for start in range(0, grid.num_frames, _BLOCK_FRAMES):
         n = min(_BLOCK_FRAMES, grid.num_frames - start)
-        if start + n <= inside.shape[1]:
-            frames = inside[:, start : start + n]
-        else:  # the last block, zero-padded past the end of x
-            frames = stdct.frame_view(x, grid, start, n)
-        coeffs = stdct.dct_forward(frames * window)
+        lo = start * hop
+        window_in[:, : x.shape[-1] - lo] = x[:, lo : lo + width]
+        window_in[:, x.shape[-1] - lo :] = 0.0
+        coeffs = stdct.dct_forward(frames[:, :n] * window)
         block = denoised[:, :, :n]
         tracking.step(state, coeffs, config, block)
         for k in range(n_kinds):
@@ -190,7 +191,6 @@ def _spans(x, inside, grid, window, state, config, n_kinds):
         block *= window
         stdct.overlap_add_block(acc, block, grid)
         stdct.overlap_add_block(norm, squares[:n], grid)
-        lo = start * hop
         done = n * hop if start + n < grid.num_frames else x.shape[-1] - lo
         acc[..., :done] /= norm[:done]  # the shift below discards these samples
         yield lo, acc[..., :done]

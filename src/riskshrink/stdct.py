@@ -18,13 +18,13 @@ built once per frame length, maps bin ``k`` to coefficients ``k`` and
 ``n - k``.  It works for every frame length, odd ones included.
 
 Both directions run block by block: analysis takes a read-only view of a
-block of frames (:func:`frame_view`), copying only a last block that runs
-past the signal's end, and synthesis adds blocks of windowed frames in place
-(:func:`overlap_add_block`), one strided add per ``hop``-wide piece of the
-frame rather than one per frame.  Any split into blocks gives the same bits,
-so no buffer of frames or coefficients needs to span the signal.  The
-normalizer is the overlap-add of ``window * window`` over the same grid,
-which ``pipeline`` accumulates block by block beside the output.
+block of frames (:func:`frame_view`), in ``pipeline`` of one block-wide input
+window that each block is copied into, and synthesis adds blocks of windowed
+frames in place (:func:`overlap_add_block`), one strided add per ``hop``-wide
+piece of the frame rather than one per frame.  Any split into blocks gives
+the same bits, so no buffer of frames or coefficients needs to span the
+signal.  The normalizer is the overlap-add of ``window * window`` over the
+same grid, which ``pipeline`` accumulates block by block beside the output.
 """
 
 import functools

@@ -118,6 +118,22 @@ def test_curves_bad_range_is_usage_error(xi_db_range):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "xi_db_range, points",
+    [
+        ("0:1:0.4", ["0.0000", "0.4000", "0.8000"]),
+        ("0:1:0.6", ["0.0000", "0.6000"]),
+        ("0.1:0.7:0.2", ["0.1000", "0.3000", "0.5000", "0.7000"]),
+    ],
+)
+def test_curves_points_stop_at_hi(xi_db_range, points, capsys):
+    # a step that does not divide hi - lo ends below hi, never past it; a
+    # ratio that rounds just below a whole number still keeps hi itself
+    assert main(["curves", "--xi-db-range=" + xi_db_range]) == 0
+    header, *data = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert [r[0] for r in data] == points
+
+
 def test_curves_point_limit(tmp_path, capsys):
     # 0:100:0.001 is the largest range taken; a step just below it is refused
     # before any point is built
@@ -148,9 +164,21 @@ def test_bad_alpha_is_usage_error(command, alpha, tmp_path, capsys):
         (["evaluate", "--snr-list=inf"], "--snr-list"),
         (["evaluate", "--snr-list=5,nan"], "--snr-list"),
         (["evaluate", "--seeds=0,-1"], "--seeds"),
+        (["evaluate", "--kinds=,"], "--kinds"),
+        (["evaluate", "--snr-list=,"], "--snr-list"),
+        (["evaluate", "--seeds=,"], "--seeds"),
         (["verify", "--seed=-1"], "--seed"),
     ],
-    ids=["snr-minus-inf", "snr-inf", "snr-nan", "negative-seeds", "verify-negative-seed"],
+    ids=[
+        "snr-minus-inf",
+        "snr-inf",
+        "snr-nan",
+        "negative-seeds",
+        "empty-kinds",
+        "empty-snr-list",
+        "empty-seeds",
+        "verify-negative-seed",
+    ],
 )
 def test_bad_snr_or_seed_is_usage_error(argv, message, tmp_path, capsys):
     # the WAVs do not exist: the check comes before any file is read
@@ -231,6 +259,18 @@ def test_evaluate_deterministic_bytes(fixture_wavs, tmp_path):
     assert hashlib.sha256(out1.read_bytes()).hexdigest() == (
         "5d3c13f87be3f6d1253d3f61c68e35529cbf94a77e19fd6c00cd8bb311b01950"
     )
+
+
+def test_evaluate_lists_drop_blank_items(fixture_wavs, tmp_path):
+    # --kinds, --snr-list and --seeds split alike: a trailing comma adds nothing
+    clean, noise = fixture_wavs
+    args = ["evaluate", "--clean", str(clean), "--noise", str(noise)]
+    plain, trailing = tmp_path / "plain.csv", tmp_path / "trailing.csv"
+    lists = ["--snr-list", "10", "--kinds", "mse", "--seeds", "1"]
+    assert main(args + lists + ["--out-csv", str(plain)]) == 0
+    lists = ["--snr-list", "10,", "--kinds", "mse,", "--seeds", "1,"]
+    assert main(args + lists + ["--out-csv", str(trailing)]) == 0
+    assert trailing.read_bytes() == plain.read_bytes()
 
 
 def test_evaluate_unknown_kind_is_usage_error(fixture_wavs, tmp_path):

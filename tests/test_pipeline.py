@@ -306,6 +306,36 @@ def test_spans_equal_one_whole_signal_overlap_add(overrides, n):
     # in order, covering the signal once, each with the bits of one
     # whole-signal accumulator normalized at the end.  With 95% overlap a
     # sample stays open for 20 frames, longer than a block of 16.
+    _assert_spans_equal_one_whole_signal_overlap_add(overrides, n)
+
+
+@pytest.mark.parametrize(
+    "overrides, n",
+    [
+        ({}, 1120),
+        ({}, 1443),
+        ({}, 1520),
+        ({}, 1521),
+        ({"overlap_fraction": 0.95}, 480),
+        ({"overlap_fraction": 0.95}, 481),
+    ],
+    ids=[
+        "11-frames",
+        "16-frames-last-past-end",
+        "16-frames-exact",
+        "17-frames",
+        "overlap0.95-11-frames",
+        "overlap0.95-12-frames-last-past-end",
+    ],
+)
+def test_spans_at_block_boundaries(overrides, n):
+    # Every block is framed from one block-wide input window, zero past the
+    # input's end: less than one block, a last frame past the end, a block
+    # that ends on the input's last sample, and one frame past a whole block.
+    _assert_spans_equal_one_whole_signal_overlap_add(overrides, n)
+
+
+def _assert_spans_equal_one_whole_signal_overlap_add(overrides, n):
     noisy = _lockstep_inputs(n)
     kinds = [ShrinkageKind.WCOSH, ShrinkageKind.MSE]
     cfg = DenoiserConfig(**overrides)
