@@ -192,8 +192,9 @@ def _cmd_evaluate(args, parser) -> int:
     try:
         every = args.kinds.strip().lower() == "all"
         named = list(ShrinkageKind) if every else _parse_list(args.kinds, "--kinds", _parse_kind)
-        snrs = sorted(_parse_list(args.snr_list, "--snr-list", float))
-        seeds = _parse_list(args.seeds, "--seeds", int)
+        # no repeats, as for the kinds; seed order sets each mean's summation order
+        snrs = sorted(dict.fromkeys(_parse_list(args.snr_list, "--snr-list", float)))
+        seeds = list(dict.fromkeys(_parse_list(args.seeds, "--seeds", int)))
     except ValueError as exc:
         parser.error(str(exc))
     if not all(map(math.isfinite, snrs)):
@@ -212,8 +213,9 @@ def _cmd_evaluate(args, parser) -> int:
     noisy = np.empty((len(snrs) * len(seeds), len(clean)))
     for row, (snr_db, seed) in enumerate(itertools.product(snrs, seeds)):
         noisy[row] = mix_at_snr(clean, noise, snr_db, seed_offset=seed).samples
+    spans = denoise_spans(noisy, config, kinds)  # checks the input before scoring it
     scorer = SpanScorer(clean.samples, noisy, config.frame_len, len(kinds))
-    for lo, span in denoise_spans(noisy, config, kinds):
+    for lo, span in spans:
         scorer.add(lo, span)
     reports = scorer.reports()
     rows = []

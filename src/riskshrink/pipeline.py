@@ -148,7 +148,7 @@ def _run(x: np.ndarray, config: DenoiserConfig, kinds):
 
     grid = stdct.make_frame_grid(x.shape[-1], frame_len, hop)
     window = stdct.hamming_window(frame_len)
-    frames = stdct.frame_view(x, grid, 0, init)  # inside x, by min_len
+    frames = stdct.frame_view(x[..., : (init - 1) * hop + frame_len], grid)
     state = tracking.initialize(stdct.dct_forward(frames * window), kinds)
     return state, _spans(x, grid, window, state, config, len(kinds))
 
@@ -173,7 +173,7 @@ def _spans(x, grid, window, state, config, n_kinds):
     inputs = x.shape[0]
     width = (_BLOCK_FRAMES - 1) * hop + frame_len
     window_in = np.empty((inputs, width))
-    frames = stdct.frame_view(window_in, grid, 0, _BLOCK_FRAMES)
+    frames = stdct.frame_view(window_in, grid)  # _BLOCK_FRAMES frames
     acc = np.zeros((n_kinds, inputs, width))
     norm = np.zeros(width)
     squares = np.broadcast_to(window * window, (_BLOCK_FRAMES, frame_len))

@@ -17,9 +17,10 @@ its odd samples reversed are transformed, and a twiddle factor per FFT bin,
 built once per frame length, maps bin ``k`` to coefficients ``k`` and
 ``n - k``.  It works for every frame length, odd ones included.
 
-Both directions run block by block: analysis takes a read-only view of a
-block of frames (:func:`frame_view`), in ``pipeline`` of one block-wide input
-window that each block is copied into, and synthesis adds blocks of windowed
+Both directions run block by block: analysis takes one read-only strided
+view of the frames that lie wholly inside a signal (:func:`frame_view`), in
+``pipeline`` of one block-wide input window that each block is copied into,
+with zeros past the input's end, and synthesis adds blocks of windowed
 frames in place (:func:`overlap_add_block`), one strided add per ``hop``-wide
 piece of the frame rather than one per frame.  Any split into blocks gives
 the same bits, so no buffer of frames or coefficients needs to span the
@@ -38,24 +39,21 @@ from numpy.lib.stride_tricks import sliding_window_view
 @dataclass(frozen=True)
 class FrameGrid:
     """Frame layout of a signal: ``num_frames`` frames of ``frame_len`` samples,
-    ``hop`` samples apart, covering ``padded_len`` samples."""
+    ``hop`` samples apart, the last one ending at or past the signal's end."""
 
     frame_len: int
     hop: int
     num_frames: int
-    padded_len: int
 
 
 def make_frame_grid(signal_len: int, frame_len: int, hop: int) -> FrameGrid:
     """Lay out analysis frames over a signal of ``signal_len >= frame_len``
-    samples, with ``1 <= hop <= frame_len`` as ``DenoiserConfig`` guarantees.
-
-    ``padded_len`` is the smallest length >= ``signal_len`` such that
-    ``padded_len - frame_len`` is a nonnegative multiple of ``hop``.
+    samples, with ``1 <= hop <= frame_len`` as ``DenoiserConfig`` guarantees:
+    ``num_frames`` is the least ``k`` with ``(k - 1) * hop + frame_len >=
+    signal_len``, so every sample lies in some frame.
     """
     n_hops = -(-(signal_len - frame_len) // hop)  # ceil division
-    padded_len = frame_len + n_hops * hop
-    return FrameGrid(frame_len, hop, n_hops + 1, padded_len)
+    return FrameGrid(frame_len, hop, n_hops + 1)
 
 
 def hamming_window(frame_len: int) -> np.ndarray:
@@ -64,24 +62,12 @@ def hamming_window(frame_len: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / frame_len)
 
 
-def frame_view(
-    signal: np.ndarray, grid: FrameGrid, first: int = 0, count: int | None = None
-) -> np.ndarray:
-    """Read-only view of the grid's frames ``first`` to ``first + count - 1``
-    (by default all of them), shape ``(..., count, frame_len)`` for a signal of
-    shape ``(..., samples)``.  Frames that lie inside the signal are a view of
-    it; when the last of them runs past its end, the view is over a copy of
-    just those frames' samples, zero-padded.  Slicing it frame-wise builds no
-    index array."""
-    count = grid.num_frames - first if count is None else count
-    lo = first * grid.hop
-    length = (count - 1) * grid.hop + grid.frame_len
-    part = signal[..., lo : lo + length]
-    if part.shape[-1] < length:
-        padded = np.zeros(signal.shape[:-1] + (length,))
-        padded[..., : part.shape[-1]] = part
-        part = padded
-    return sliding_window_view(part, grid.frame_len, axis=-1)[..., :: grid.hop, :]
+def frame_view(signal: np.ndarray, grid: FrameGrid) -> np.ndarray:
+    """Read-only view of the grid's frames that lie wholly inside ``signal``
+    (shape ``(..., samples)``), the first at sample 0: shape ``(..., count,
+    frame_len)`` with ``count = (samples - frame_len) // hop + 1``.  It copies
+    nothing, and slicing it frame-wise builds no index array."""
+    return sliding_window_view(signal, grid.frame_len, axis=-1)[..., :: grid.hop, :]
 
 
 @functools.lru_cache(maxsize=16)

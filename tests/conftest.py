@@ -8,7 +8,7 @@ from numpy.lib.introspect import opt_func_info
 
 from riskshrink.audio import AudioBuffer
 from riskshrink.shrinkage import ShrinkageKind
-from riskshrink.stdct import FrameGrid, overlap_add_block
+from riskshrink.stdct import FrameGrid, frame_view, overlap_add_block
 
 # Property tests draw the same examples on every run, so CI never meets a
 # failure that the next run cannot reproduce.
@@ -65,13 +65,26 @@ def bits(a):
     return a.dtype.str, a.shape, a.tobytes()
 
 
+def covered_len(grid: FrameGrid) -> int:
+    """Samples from the start of the grid's first frame to the end of its last."""
+    return (grid.num_frames - 1) * grid.hop + grid.frame_len
+
+
+def padded_frames(x: np.ndarray, grid: FrameGrid) -> np.ndarray:
+    """The whole-signal reference of the frames that ``pipeline`` copies block
+    by block into its input window: all of the grid's frames over ``x``
+    (shape ``(..., samples)``), zero past its end."""
+    pad = [(0, 0)] * (x.ndim - 1) + [(0, covered_len(grid) - x.shape[-1])]
+    return frame_view(np.pad(x, pad), grid)
+
+
 def overlap_normalize(out: np.ndarray, grid: FrameGrid, window: np.ndarray) -> np.ndarray:
     """The whole-signal reference of the normalizer that ``pipeline`` rolls
-    block by block: divide accumulated overlap-add output in place by the
-    overlap-add of ``window * window`` over the whole grid.  Every sample of
-    the grid lies in some frame, so with the Hamming window that sum is at
-    least ``0.08**2``."""
-    norm = np.zeros(grid.padded_len)
+    block by block: divide accumulated overlap-add output (last axis
+    :func:`covered_len` long) in place by the overlap-add of ``window *
+    window`` over the whole grid.  Every sample of the grid lies in some
+    frame, so with the Hamming window that sum is at least ``0.08**2``."""
+    norm = np.zeros(covered_len(grid))
     squares = np.broadcast_to(window * window, (grid.num_frames, grid.frame_len))
     overlap_add_block(norm, squares, grid)
     out /= norm

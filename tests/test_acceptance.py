@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import make_voiced, overlap_normalize
+from conftest import covered_len, make_voiced, overlap_normalize, padded_frames
 from riskshrink.audio import generate_white_noise, mix_at_snr, write_wav
 from riskshrink.cli import main as cli_main
 from riskshrink.metrics import gain_report
@@ -28,7 +28,6 @@ from riskshrink.shrinkage import ShrinkageKind, gain_rows
 from riskshrink.stdct import (
     dct_forward,
     dct_inverse,
-    frame_view,
     hamming_window,
     make_frame_grid,
     overlap_add_block,
@@ -153,9 +152,9 @@ def test_dsp_roundtrip():
     x = rng.standard_normal(1600)
     grid = make_frame_grid(x.shape[0], 320, 80)
     w = hamming_window(320)
-    frames = frame_view(x, grid) * w
+    frames = padded_frames(x, grid) * w
     coeffs = dct_forward(frames)
-    y = np.zeros(grid.padded_len)
+    y = np.zeros(covered_len(grid))
     overlap_add_block(y, dct_inverse(coeffs) * w, grid)
     y = overlap_normalize(y, grid, w)[: x.shape[0]]
     interior = slice(320, x.shape[0] - 320)

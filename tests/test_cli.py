@@ -273,6 +273,37 @@ def test_evaluate_lists_drop_blank_items(fixture_wavs, tmp_path):
     assert trailing.read_bytes() == plain.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "once, repeated",
+    [(("5", "0"), ("5,5", "0,0")), (("0,5", "1,0"), ("5,0,5", "1,0,1"))],
+    ids=["one-value-twice", "first-occurrence-kept"],
+)
+def test_evaluate_drops_repeated_snrs_and_seeds(once, repeated, fixture_wavs, tmp_path):
+    # as with --kinds, a repeat adds nothing: the SNRs stay sorted and the
+    # seeds keep the order of their first occurrences, which sets the
+    # summation order of each mean
+    clean, noise = fixture_wavs
+    args = ["evaluate", "--clean", str(clean), "--noise", str(noise), "--kinds", "mse"]
+    outs = []
+    for name, (snrs, seeds) in (("once", once), ("repeated", repeated)):
+        outs.append(tmp_path / f"{name}.csv")
+        argv = args + ["--snr-list", snrs, "--seeds", seeds, "--out-csv", str(outs[-1])]
+        assert main(argv) == 0
+    assert outs[1].read_bytes() == outs[0].read_bytes()
+
+
+def test_evaluate_clean_file_shorter_than_the_denoiser_needs(tmp_path, capsys):
+    # the denoiser's check speaks before the scorer finds no segment to score
+    clean, noise = tmp_path / "clean.wav", tmp_path / "noise.wav"
+    write_wav(clean, AudioBuffer(0.3 * np.sin(2 * np.pi * 440.0 * np.arange(300) / 8000), 8000))
+    write_wav(noise, generate_white_noise(8000, 0.05, seed=0))
+    out = tmp_path / "eval.csv"
+    argv = ["evaluate", "--clean", str(clean), "--noise", str(noise), "--out-csv", str(out)]
+    assert main(argv) == 1
+    assert "error: signal too short: 300 samples, need at least 1120" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_unknown_kind_is_usage_error(fixture_wavs, tmp_path):
     clean, noise = fixture_wavs
     with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import NUMPY_DISPATCH, make_voiced, overlap_normalize
+from conftest import NUMPY_DISPATCH, covered_len, make_voiced, overlap_normalize, padded_frames
 from riskshrink.audio import generate_white_noise, mix_at_snr, read_wav, write_wav
 from riskshrink.metrics import global_snr_db
 from riskshrink import shrinkage, stdct, tracking
@@ -278,12 +278,12 @@ def test_frame_by_frame_with_reused_buffers_equals_denoise_kinds():
     cfg = DenoiserConfig()
     grid = stdct.make_frame_grid(noisy.shape[-1], cfg.frame_len, cfg.hop)
     window = stdct.hamming_window(cfg.frame_len)
-    frames = stdct.frame_view(noisy, grid)
+    frames = padded_frames(noisy, grid)
     init = stdct.dct_forward(frames[:, : cfg.init_noise_frames] * window)
     state = tracking.initialize(init, kinds)
     coeffs = np.empty((3, 1, cfg.frame_len))
     denoised = np.empty((len(kinds), 3, 1, cfg.frame_len))
-    out = np.zeros((len(kinds), 3, grid.padded_len))
+    out = np.zeros((len(kinds), 3, covered_len(grid)))
     for j in range(grid.num_frames):
         coeffs[...] = stdct.dct_forward(frames[:, j : j + 1] * window)
         tracking.step(state, coeffs, cfg, denoised)
@@ -341,11 +341,11 @@ def _assert_spans_equal_one_whole_signal_overlap_add(overrides, n):
     cfg = DenoiserConfig(**overrides)
     grid = stdct.make_frame_grid(n, cfg.frame_len, cfg.hop)
     window = stdct.hamming_window(cfg.frame_len)
-    frames = stdct.frame_view(noisy, grid)
+    frames = padded_frames(noisy, grid)
     state = tracking.initialize(
         stdct.dct_forward(frames[:, : cfg.init_noise_frames] * window), kinds
     )
-    want = np.zeros((len(kinds), 3, grid.padded_len))
+    want = np.zeros((len(kinds), 3, covered_len(grid)))
     denoised = np.empty((len(kinds), 3, 1, cfg.frame_len))
     for j in range(grid.num_frames):
         coeffs = stdct.dct_forward(frames[:, j : j + 1] * window)

@@ -3,7 +3,7 @@ import pytest
 import scipy.fft
 from hypothesis import given, reject, strategies as st
 
-from conftest import overlap_normalize
+from conftest import covered_len, overlap_normalize, padded_frames
 from riskshrink.pipeline import DenoiserConfig
 from riskshrink.stdct import (
     FrameGrid,
@@ -31,7 +31,7 @@ def naive_dct(x: np.ndarray) -> np.ndarray:
 def synthesize(frames: np.ndarray, grid: FrameGrid, window: np.ndarray) -> np.ndarray:
     """Whole-signal weighted overlap-add: every frame windowed and added in
     one block, then the normalization, as the pipeline does block by block."""
-    out = np.zeros(grid.padded_len)
+    out = np.zeros(covered_len(grid))
     overlap_add_block(out, frames * window, grid)
     return overlap_normalize(out, grid, window)
 
@@ -42,19 +42,32 @@ def synthesize(frames: np.ndarray, grid: FrameGrid, window: np.ndarray) -> np.nd
 
 
 @pytest.mark.parametrize(
-    "signal_len,expected_frames,expected_padded",
+    "signal_len,expected_frames,expected_covered",
     [(320, 1, 320), (321, 2, 400), (800, 7, 800)],
 )
-def test_make_frame_grid(signal_len, expected_frames, expected_padded):
+def test_make_frame_grid(signal_len, expected_frames, expected_covered):
     grid = make_frame_grid(signal_len, 320, 80)
     assert grid.num_frames == expected_frames
-    assert grid.padded_len == expected_padded
-    assert (grid.padded_len - grid.frame_len) % grid.hop == 0
+    assert covered_len(grid) == expected_covered
+
+
+@given(
+    geometry=st.integers(1, 2000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+    extra=st.integers(0, 100_000),
+)
+def test_make_frame_grid_takes_the_fewest_frames_that_cover_the_signal(geometry, extra):
+    # every geometry DenoiserConfig accepts, 1 <= hop <= frame_len, over a
+    # signal at least one frame long
+    frame_len, hop = geometry
+    signal_len = frame_len + extra
+    k = make_frame_grid(signal_len, frame_len, hop).num_frames
+    assert (k - 1) * hop + frame_len >= signal_len
+    assert k == 1 or (k - 2) * hop + frame_len < signal_len
 
 
 def test_every_sample_covered():
     grid = make_frame_grid(1000, 320, 80)
-    covered = np.zeros(grid.padded_len, dtype=int)
+    covered = np.zeros(covered_len(grid), dtype=int)
     for i in range(grid.num_frames):
         covered[i * grid.hop : i * grid.hop + grid.frame_len] += 1
     assert np.all(covered >= 1)
@@ -163,7 +176,7 @@ def test_empty_frame_rejected():
 
 
 def test_overlap_add_single_frame_ones_window():
-    grid = FrameGrid(frame_len=8, hop=8, num_frames=1, padded_len=8)
+    grid = FrameGrid(frame_len=8, hop=8, num_frames=1)
     frame = np.arange(8.0)[None, :]
     out = synthesize(frame, grid, np.ones(8))
     np.testing.assert_array_equal(out, np.arange(8.0))
@@ -191,7 +204,7 @@ def test_overlap_add_equals_frame_by_frame_at_every_piece_width(hop, frame_lens)
     for frame_len in frame_lens:
         grid = make_frame_grid(frame_len + 9 * hop, frame_len, hop)
         frames = rng.standard_normal((2, grid.num_frames, frame_len))
-        start = 1e3 * rng.standard_normal((2, grid.padded_len + 3))
+        start = 1e3 * rng.standard_normal((2, covered_len(grid) + 3))
         want = start.copy()
         for j in range(grid.num_frames):
             want[:, j * hop : j * hop + frame_len] += frames[:, j]
@@ -217,9 +230,9 @@ def test_any_split_into_blocks_gives_the_same_bits(frame_len, hop, first_frames)
     grid = make_frame_grid(frame_len + 50 * hop + 7, frame_len, hop)
     frames = np.random.default_rng(hop).standard_normal((2, grid.num_frames, frame_len))
     frames *= hamming_window(frame_len)
-    whole = np.zeros((2, grid.padded_len))
+    whole = np.zeros((2, covered_len(grid)))
     overlap_add_block(whole, frames, grid)
-    split = np.zeros((2, grid.padded_len))
+    split = np.zeros((2, covered_len(grid)))
     starts = [f for f in first_frames if f < grid.num_frames]
     for start, stop in zip(starts, starts[1:] + [grid.num_frames]):
         overlap_add_block(split[:, start * grid.hop :], frames[:, start:stop], grid)
@@ -227,19 +240,18 @@ def test_any_split_into_blocks_gives_the_same_bits(frame_len, hop, first_frames)
 
 
 @_GEOMETRIES
-def test_a_block_of_frames_views_the_signal_or_pads_only_the_last(frame_len, hop):
-    # the pipeline analyzes 16 frames at a time; only a block whose last
-    # frame runs past the signal's end copies, and the bits are the whole
-    # signal's frames either way
+def test_frame_view_is_a_read_only_view_of_the_whole_frames(frame_len, hop):
+    # the grid's last frame runs 7 samples past the end, so the view holds
+    # every frame but that one, each a slice of x; the zero fill past the
+    # end is the pipeline's input window, tested by its span tests
     x = np.random.default_rng(hop).standard_normal((2, frame_len + 40 * hop + 7))
     grid = make_frame_grid(x.shape[-1], frame_len, hop)
-    whole = frame_view(x, grid)
-    for first in range(0, grid.num_frames, 16):
-        count = min(16, grid.num_frames - first)
-        block = frame_view(x, grid, first, count)
-        assert block.tobytes() == whole[:, first : first + count].tobytes()
-        assert not block.flags.writeable
-        assert np.shares_memory(block, x) == (first + count < grid.num_frames)
+    frames = frame_view(x, grid)
+    assert frames.shape == (2, grid.num_frames - 1, frame_len)
+    assert not frames.flags.writeable
+    assert np.shares_memory(frames, x)
+    for j in range(grid.num_frames - 1):
+        assert frames[:, j].tobytes() == x[:, j * hop : j * hop + frame_len].tobytes()
 
 
 def test_inverse_in_place_gives_the_same_bits():
@@ -254,9 +266,9 @@ def test_inverse_in_place_gives_the_same_bits():
 def test_normalizer_is_the_overlap_add_of_the_squared_window(frame_len, hop):
     grid = make_frame_grid(frame_len + 50 * hop + 7, frame_len, hop)
     window = hamming_window(frame_len)
-    norm = np.zeros(grid.padded_len)
+    norm = np.zeros(covered_len(grid))
     overlap_add_block(norm, np.tile(window * window, (grid.num_frames, 1)), grid)
-    signal = np.random.default_rng(frame_len).standard_normal(grid.padded_len)
+    signal = np.random.default_rng(frame_len).standard_normal(covered_len(grid))
     normalized = overlap_normalize(signal.copy(), grid, window)
     assert normalized.tobytes() == (signal / norm).tobytes()
 
@@ -266,7 +278,7 @@ def test_identity_roundtrip_interior():
     x = rng.standard_normal(800)
     grid = make_frame_grid(x.shape[0], 320, 80)
     w = hamming_window(320)
-    frames = frame_view(x, grid) * w
+    frames = padded_frames(x, grid) * w
     back = dct_inverse(dct_forward(frames))
     y = synthesize(back, grid, w)[: x.shape[0]]
     interior = slice(320, x.shape[0] - 320)
@@ -280,7 +292,7 @@ def test_identity_roundtrip_long_signal():
     x = rng.standard_normal(3 * 320 + 123)
     grid = make_frame_grid(x.shape[0], 320, 80)
     w = hamming_window(320)
-    y = synthesize(dct_inverse(dct_forward(frame_view(x, grid) * w)), grid, w)
+    y = synthesize(dct_inverse(dct_forward(padded_frames(x, grid) * w)), grid, w)
     interior = slice(320, x.shape[0] - 320)
     np.testing.assert_allclose(y[interior], x[interior], rtol=0, atol=1e-9)
 
@@ -292,7 +304,7 @@ def test_identity_roundtrip_with_a_hop_that_does_not_divide_the_frame(frame_len,
     x = rng.standard_normal(12 * frame_len + 7)
     grid = make_frame_grid(x.shape[0], frame_len, hop)
     w = hamming_window(frame_len)
-    y = synthesize(dct_inverse(dct_forward(frame_view(x, grid) * w)), grid, w)
+    y = synthesize(dct_inverse(dct_forward(padded_frames(x, grid) * w)), grid, w)
     interior = slice(frame_len, x.shape[0] - frame_len)
     np.testing.assert_allclose(y[interior], x[interior], rtol=0, atol=1e-9)
 
@@ -316,6 +328,6 @@ def test_every_accepted_geometry_normalizes_every_sample(
     frame_len, hop = config.frame_len, config.hop
     assert 1 <= hop <= frame_len
     grid = make_frame_grid(frame_len * (config.init_noise_frames + 1), frame_len, hop)
-    inv_norm = overlap_normalize(np.ones(grid.padded_len), grid, hamming_window(frame_len))
+    inv_norm = overlap_normalize(np.ones(covered_len(grid)), grid, hamming_window(frame_len))
     assert np.all(np.isfinite(inv_norm))
     assert np.all(inv_norm <= 1.0 / 0.0064)
