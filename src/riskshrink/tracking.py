@@ -11,7 +11,8 @@ row when mse was not requested.  The VAD reads the mse estimate, so no gain
 can hide speech from the VAD that sets its own floor.  An input's frames are
 strictly sequential since each frame's estimate depends on the previous one,
 so a block is squared, its constants formed and its speech counted once, and
-the rest runs frame by frame.
+the rest runs frame by frame.  The state holds only what one frame hands the
+next; every scratch array belongs to the call that makes it.
 """
 
 from dataclasses import dataclass, field
@@ -36,24 +37,26 @@ _MAX_HANGOVER = int(np.iinfo(np.int64).max)
 
 @dataclass
 class TrackerState:
-    """Tracker state, updated in place by :func:`step`.
+    """Tracker state, updated in place by :func:`step`: what one frame hands
+    the next, and nothing else.
 
     ``gain`` holds the last frame's gain of each kind in ``rows``, shape
     ``(rows, ..., bins)``, the result of that frame's one gain call; the VAD
     reads the first mse row.  ``noise_var`` and ``prev_noisy_sq``, the last
     frame's squared coefficients, have shape ``(..., bins)``, one row per
-    input; ``hang`` holds the hangover frames left per input, and
-    ``speech_frames`` the frames taken as speech so far (hangover included).
-    No field is a view of memory the caller owns: the state keeps a copy of
-    the ``gain`` it is built with, and rewrites that copy in place.
+    input; ``hang``, shape ``(...)``, holds the hangover frames left per
+    input, and ``speech_frames`` the frames taken as speech (hangover too).
 
-    Building the state checks ``rows`` once: an entry that is not a
-    ``ShrinkageKind`` raises ``_check_kinds``' ``ValueError`` before any frame.
-    It also records the first mse row, whether the floor holds a bin that is
-    not positive, and the scratch buffers each frame reuses, one of them the
-    bool ``_mask`` of the VAD's zero-floor masks.  :func:`update_noise`
-    refreshes the flag whenever it moves the floor, so ``noise_var`` must
-    change only through it.
+    Building the state checks it once, before any frame: an entry of ``rows``
+    that is not a ``ShrinkageKind`` raises ``_check_kinds``' ``ValueError``,
+    and so do ``rows`` without mse and an array whose shape does not match
+    ``noise_var``'s, naming the field and the shape it needs.  No field is
+    memory the caller owns: the state keeps a list copy of ``rows``, float64
+    copies of ``noise_var``, ``gain`` and ``prev_noisy_sq`` and int64 copies
+    of ``hang`` and ``speech_frames``.  The one derived field records whether
+    the floor holds a bin that is not positive; :func:`update_noise`
+    refreshes it whenever it moves the floor, so ``noise_var`` must change
+    only through it.
     """
 
     rows: list
@@ -63,29 +66,32 @@ class TrackerState:
     hang: np.ndarray
     speech_frames: np.ndarray
     frames_seen: int = 0
-    _mse_row: int = field(init=False, repr=False, compare=False)
     _floor_has_zero: bool = field(init=False, repr=False, compare=False)
-    _scratch: tuple = field(init=False, repr=False, compare=False)
-    _mask: np.ndarray = field(init=False, repr=False, compare=False)
-    _inv: np.ndarray = field(init=False, repr=False, compare=False)
-    _u: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.rows = list(self.rows)
         _check_kinds(self.rows)
-        self._mse_row = self.rows.index(ShrinkageKind.MSE)
-        self.gain = np.array(self.gain, dtype=np.float64)
+        if ShrinkageKind.MSE not in self.rows:
+            raise ValueError("rows must include mse")
+        self.noise_var = np.array(self.noise_var, dtype=np.float64)
         shape = self.noise_var.shape
-        self._mask = np.empty(shape, dtype=bool)
+        for name, dtype, want in (
+            ("gain", np.float64, (len(self.rows),) + shape),
+            ("prev_noisy_sq", np.float64, shape),
+            ("hang", np.int64, shape[:-1]),
+            ("speech_frames", np.int64, shape[:-1]),
+        ):
+            value = np.array(getattr(self, name), dtype=dtype)
+            if value.shape != want:
+                raise ValueError(f"{name} must have shape {want}, got {value.shape}")
+            setattr(self, name, value)
         _mark_zero_floor(self)
-        self._scratch = tuple(np.empty(shape) for _ in range(3))
-        self._inv = np.empty(self.gain.shape)
-        self._u = np.empty(self.gain.shape)
 
 
 def _mark_zero_floor(state: TrackerState) -> None:
     """Record whether the floor holds a bin that is not positive.  Without
     one the VAD's masks select nothing, so the frames skip them."""
-    state._floor_has_zero = not np.greater(state.noise_var, _ZERO, out=state._mask).all()
+    state._floor_has_zero = not (state.noise_var > _ZERO).all()
 
 
 def initialize(first_frames: np.ndarray, kinds) -> TrackerState:
@@ -121,23 +127,20 @@ def vad(x_sq, g_mse_sq, prev_sq, state: TrackerState) -> np.ndarray:
     ``gamma`` the a-posteriori SNR and ``rho`` a decision-directed prior SNR
     blending the previous mse estimate, ``g_mse_sq * prev_sq`` (the previous
     mse gain squared times the previous frame's squares), with the current
-    observation.  The masks of silent bins and of a zero floor run only while
-    the floor holds a zero: elsewhere ``0 / noise_var`` is already +0.
+    observation.  Every array it writes is its own.  The masks of silent bins
+    and of a zero floor are formed only while the floor holds a zero:
+    elsewhere ``0 / noise_var`` is already +0.
     """
     nv = state.noise_var
-    gamma, rho, dd = state._scratch
-    np.divide(x_sq, nv, out=gamma)
-    np.multiply(g_mse_sq, prev_sq, out=dd)
+    gamma = np.divide(x_sq, nv)
+    dd = np.multiply(g_mse_sq, prev_sq)
     dd *= _DD_WEIGHT
     dd /= nv
     if state._floor_has_zero:
-        mask = state._mask
-        np.logical_not(np.greater(x_sq, _ZERO, out=mask), out=mask)
-        np.copyto(gamma, _ZERO, where=mask)
-        np.logical_not(np.greater(nv, _ZERO, out=mask), out=mask)
-        np.copyto(dd, _ZERO, where=mask)
+        np.copyto(gamma, _ZERO, where=~(x_sq > _ZERO))
+        np.copyto(dd, _ZERO, where=~(nv > _ZERO))
     np.minimum(gamma, _GAMMA_CAP, out=gamma)
-    np.subtract(gamma, _ONE, out=rho)
+    rho = np.subtract(gamma, _ONE)
     np.maximum(rho, _ZERO, out=rho)
     rho *= _DD_REST
     rho += dd
@@ -155,14 +158,9 @@ def update_noise(
     """Exponential noise-variance update in place, frozen in speech inputs."""
     if all(speech.flat):
         return
-    nv = state.noise_var
-    frozen = any(speech.flat)
-    # into noise_var when every input is noise, else into scratch for copyto
-    blended = state._scratch[0] if frozen else nv
-    np.multiply(nv, eta, out=blended)
-    blended += np.multiply(x_sq, 1.0 - eta, out=state._scratch[1])
-    if frozen:
-        np.copyto(nv, blended, where=~speech[..., None])
+    blended = np.multiply(state.noise_var, eta)
+    blended += np.multiply(x_sq, 1.0 - eta)
+    np.copyto(state.noise_var, blended, where=~speech[..., None])
     _mark_zero_floor(state)
 
 
@@ -192,14 +190,14 @@ def step(state: TrackerState, block: np.ndarray, config, out: np.ndarray):
     count per input is added to ``speech_frames``; ``inv_xi`` holds the last
     frame's ``1/xi``, one row per entry of ``rows``.
 
-    Buffers: ``gain`` and the returned ``inv_xi`` are the state's, rewritten
-    in place by every frame, so a caller that keeps a frame's gain or
-    ``inv_xi`` must copy it.  Arrays made once per step, the block's squares
-    and ``speech``, belong to that step and are never written again;
-    ``prev_noisy_sq`` becomes a copy of the last frame's squares, so that the
-    block's squares are freed, and the array it held before a step is never
-    written again either.  ``noise_var``, ``hang`` and ``speech_frames`` are
-    updated in place.  The step keeps no reference to ``block`` or ``out``.
+    Buffers: ``gain`` is the state's, rewritten in place by every frame, so
+    a caller that keeps a frame's gain must copy it.  Arrays made once per
+    step, the block's squares, ``speech`` and the returned ``inv_xi``, belong
+    to that step and are never written again; ``prev_noisy_sq`` becomes a
+    copy of the last frame's squares, so that the block's squares are freed,
+    and the array it held before a step is never written again either.
+    ``noise_var``, ``hang`` and ``speech_frames`` are updated in place.  The
+    step keeps no reference to ``block`` or ``out``.
     """
     n = block.shape[-2]
     # frame-major, so that each frame's squares are one contiguous slab
@@ -209,8 +207,9 @@ def step(state: TrackerState, block: np.ndarray, config, out: np.ndarray):
     hangover = _constant(config.vad_hangover)
     alpha = _constant(config.alpha)
     beta, rest = _constant(config.beta), _constant(1.0 - config.beta)
-    gain, inv, u = state.gain, state._inv, state._u
-    mse = state._mse_row
+    gain = state.gain
+    inv, u = np.empty(gain.shape), np.empty(gain.shape)
+    mse = state.rows.index(ShrinkageKind.MSE)
     with np.errstate(**_QUIET):
         np.square(np.moveaxis(block, -2, 0), out=squares)
         prev_sq = state.prev_noisy_sq
@@ -225,7 +224,7 @@ def step(state: TrackerState, block: np.ndarray, config, out: np.ndarray):
             np.copyto(state.hang, hangover, where=raw)
             update_noise(x_sq, speech_j, state, config.eta)
             b, rest_b = (beta, rest) if state.frames_seen + j else (_ONE, _ZERO)
-            posterior = np.multiply(state.noise_var, b, out=state._scratch[0])
+            posterior = np.multiply(state.noise_var, b)
             posterior /= x_sq
             # (1 - b) * (1 - g_prev**2) + b * noise_var / X**2
             np.subtract(_ONE, inv, out=inv)

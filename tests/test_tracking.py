@@ -1,3 +1,4 @@
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -311,17 +312,17 @@ def test_step_records_history():
 
 
 def test_step_buffer_contract():
-    # What a caller may keep across steps: the returned speech flags and the
-    # array prev_noisy_sq held before a step are never written again.  gain
-    # and the returned inv are the state's own buffers, rewritten in place by
-    # every frame.  The step keeps no reference to the block or to out, so
-    # poisoning both after each step moves no later bit.
+    # What a caller may keep across steps: the returned inv and speech flags
+    # and the array prev_noisy_sq held before a step are never written again.
+    # gain is the state's own buffer, rewritten in place by every frame.  The
+    # step keeps no reference to the block or to out, so poisoning both after
+    # each step moves no later bit.
     x = np.random.default_rng(24).standard_normal((2, 12, 16))
     x[0, 6:8] *= 10.0  # input 0 speaks, input 1 does not
     state = initialize(x[:, :3], [ShrinkageKind.WE])
     gain = state.gain
     clean = initialize(x[:, :3], [ShrinkageKind.WE])
-    kept, held, invs = [], [], set()
+    kept, held = [], []
     for lo, hi in ((0, 1), (1, 5), (5, 12)):
         held.append((state.prev_noisy_sq, state.prev_noisy_sq.copy()))
         block, out = x[:, lo:hi].copy(), _out(state, x[:, lo:hi])
@@ -331,15 +332,75 @@ def test_step_buffer_contract():
         assert out.tobytes() == want.tobytes()
         block.fill(np.nan)
         out.fill(np.nan)
-        kept.append((speech, speech.copy()))
-        invs.add(id(inv))
+        kept += [(speech, speech.copy()), (inv, inv.copy())]
         assert state.gain is gain and gain.flags.c_contiguous
         assert state.prev_noisy_sq.tobytes() == np.square(x[:, hi - 1]).tobytes()
-    assert len(invs) == 1
     assert all(bits(a) == bits(copy) for a, copy in kept + held)
     assert state.speech_frames[0] > state.speech_frames[1]  # frames of mixed decisions
     for name in _REFERENCE_FIELDS:
         assert bits(getattr(state, name)) == bits(getattr(clean, name)), name
+
+
+def test_a_hand_built_state_keeps_its_own_copies():
+    # the caller's rows and arrays, a float32 floor and int32 counters among
+    # them, are neither shared nor rewritten, and the state's are float64 and
+    # int64
+    floor = np.ones((2, 4), dtype=np.float32)
+    given = dict(
+        noise_var=floor,
+        gain=np.zeros((1, 2, 4)),
+        prev_noisy_sq=np.zeros((2, 4)),
+        hang=np.zeros(2, dtype=np.int32),
+        speech_frames=np.zeros(2, dtype=np.int32),
+    )
+    before = {name: value.copy() for name, value in given.items()}
+    rows = [ShrinkageKind.MSE]
+    state = TrackerState(rows=rows, **given)
+    rows.clear()  # the state keeps its own list, with its mse row
+    x = np.full((2, 3, 4), 0.5)
+    x[0, 1] = 40.0  # input 0 speaks once, so its hangover and count move
+    step(state, x, DenoiserConfig(vad_hangover=2), _out(state, x))
+    for name, value in given.items():
+        assert bits(value) == bits(before[name]), name
+        assert not np.shares_memory(getattr(state, name), value), name
+    assert state.noise_var.dtype == state.gain.dtype == state.prev_noisy_sq.dtype == np.float64
+    assert state.hang.dtype == state.speech_frames.dtype == np.int64
+    assert state.hang.tolist() == [1, 0] and state.speech_frames.tolist() == [2, 0]
+    assert (state.noise_var[1] < 1.0).all() and state.rows == [ShrinkageKind.MSE]
+
+
+_BAD_STATES = {
+    "rows-without-mse": ({"rows": [ShrinkageKind.WE]}, "rows must include mse"),
+    "gain-rows": (
+        {"rows": [ShrinkageKind.MSE, ShrinkageKind.WE]}, "gain must have shape (2, 2, 4)"
+    ),
+    "gain-bins": ({"gain": np.zeros((1, 2, 5))}, "gain must have shape (1, 2, 4)"),
+    "prev-bins": ({"prev_noisy_sq": np.zeros((2, 5))}, "prev_noisy_sq must have shape (2, 4)"),
+    "hang-inputs": ({"hang": np.zeros(3, dtype=np.int64)}, "hang must have shape (2,)"),
+    "hang-0d": (
+        {"noise_var": np.ones(4), "gain": np.zeros((1, 4)), "prev_noisy_sq": np.zeros(4),
+         "hang": np.zeros(3, dtype=np.int64), "speech_frames": np.zeros((), dtype=np.int64)},
+        "hang must have shape ()",
+    ),
+    "speech-frames": (
+        {"speech_frames": np.zeros((2, 1), dtype=np.int64)}, "speech_frames must have shape (2,)"
+    ),
+}
+
+
+@pytest.mark.parametrize("change, message", _BAD_STATES.values(), ids=_BAD_STATES)
+def test_an_inconsistent_state_is_refused_when_built(change, message):
+    # before any frame, with a message that names the field and its shape
+    fields = dict(
+        rows=[ShrinkageKind.MSE],
+        noise_var=np.ones((2, 4)),
+        gain=np.zeros((1, 2, 4)),
+        prev_noisy_sq=np.zeros((2, 4)),
+        hang=np.zeros(2, dtype=np.int64),
+        speech_frames=np.zeros(2, dtype=np.int64),
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrackerState(**(fields | change))
 
 
 def test_step_calls_the_public_vad_once_per_frame(monkeypatch):
@@ -633,3 +694,43 @@ def test_any_split_into_blocks_equals_frame_by_frame(inputs, kinds, sizes, confi
             lo = hi
             if lo == x.shape[1]:
                 break
+
+
+# Where the floor stands at each split of _reference_frames(3) under the
+# fast-floor config: every input's bin 0 sits on a zero floor until frame 4
+# lifts it; bins 1 and 2 fall back to zero at frame 7, and frame 12 is raw
+# speech on that zero floor, so after 14 frames every hangover is running.
+_RESUME_SPLITS = {"before-rise": 4, "after-rise": 5, "hangover-on-zero-floor": 14}
+
+
+@pytest.mark.parametrize("split", _RESUME_SPLITS.values(), ids=_RESUME_SPLITS)
+def test_a_state_rebuilt_from_its_public_fields_resumes_bit_for_bit(split):
+    # a checkpoint: copies of the seven public fields make a state that steps
+    # on exactly as the one they were taken from
+    config = _REFERENCE_CONFIGS["fast-floor"][0]
+    x = _reference_frames(3)
+    state = initialize(x[:, :4], list(ShrinkageKind))
+    step(state, x[:, :split], config, _out(state, x[:, :split]))
+    on_zero = (state.noise_var == 0.0).any(axis=-1)
+    assert on_zero.tolist() == [split != 5] * 3
+    assert (state.hang > 0).tolist() == [split == 14] * 3
+    rebuilt = TrackerState(
+        rows=list(state.rows),
+        noise_var=state.noise_var.copy(),
+        gain=state.gain.copy(),
+        prev_noisy_sq=state.prev_noisy_sq.copy(),
+        hang=state.hang.copy(),
+        speech_frames=state.speech_frames.copy(),
+        frames_seen=state.frames_seen,
+    )
+    rest = x[:, split:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, out_rebuilt = _out(state, rest), _out(rebuilt, rest)
+        inv, speech = step(state, rest, config, out)
+        inv_rebuilt, speech_rebuilt = step(rebuilt, rest, config, out_rebuilt)
+    assert bits(out_rebuilt) == bits(out) and bits(inv_rebuilt) == bits(inv)
+    assert bits(speech_rebuilt) == bits(speech) and speech.any() and not speech.all()
+    for name in _REFERENCE_FIELDS:
+        assert bits(getattr(rebuilt, name)) == bits(getattr(state, name)), name
+    assert rebuilt.frames_seen == state.frames_seen == x.shape[1]
